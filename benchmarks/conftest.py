@@ -2,7 +2,7 @@
 
 Each benchmark module regenerates one of the paper's tables or figures and
 prints it next to the paper's reported numbers so the shapes can be compared
-directly (see EXPERIMENTS.md for the recorded comparison).
+directly.
 
 The underlying experiments are expensive (tens of simulated runs), so results
 are cached at session scope: the benchmark that *first* needs an experiment
@@ -33,7 +33,7 @@ import pytest
 from repro.sim.experiments import ExperimentSettings
 from repro.sim.runner import ExperimentRunner, set_default_runner
 
-#: Workloads in the paper's figure order.
+
 def _quick() -> bool:
     return os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "", "false")
 

@@ -21,11 +21,10 @@ Three groups of subcommands:
   runs against a committed baseline;
 * housekeeping: ``list`` prints the spec registry, ``list-workloads`` the
   calibrated workload profiles, and ``cache stats`` / ``cache clear`` /
-  ``cache prune`` / ``cache compact`` / ``cache migrate`` inspect and
-  maintain the packed on-disk result cache (:mod:`repro.sim.store`):
-  stats includes the schema-version breakdown after a format bump,
-  compact sheds superseded records, migrate packs a legacy per-file
-  cache into segments;
+  ``cache prune`` / ``cache compact`` inspect and maintain the packed
+  on-disk result cache (:mod:`repro.sim.store`): stats includes the
+  schema-version breakdown after a format bump, compact sheds superseded
+  records;
 * distributed runs: ``serve`` starts the HTTP coordinator, ``worker``
   attaches a pull-based worker to it, and any experiment subcommand
   distributes its cells with ``--backend distributed --coordinator URL``
@@ -76,13 +75,7 @@ from repro.sim.frames import (
 )
 from repro.sim.jobs import registered_job_kinds
 from repro.sim.reporting import full_report
-from repro.sim.runner import (
-    CacheKindStats,
-    ExperimentRunner,
-    default_cache_dir,
-    make_result_cache,
-    registered_backends,
-)
+from repro.sim.runner import ExperimentRunner, registered_backends
 from repro.sim.specs import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -90,6 +83,7 @@ from repro.sim.specs import (
     parse_positive_int,
     parse_seed_list,
 )
+from repro.sim.store import CacheKindStats, ResultCache, default_cache_dir
 from repro.workloads.profiles import PAPER_WORKLOAD_NAMES, PAPER_WORKLOADS
 
 
@@ -422,7 +416,7 @@ def _human_bytes(size: int) -> str:
 
 
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    cache = make_result_cache(args.cache_dir)
+    cache = ResultCache(args.cache_dir or default_cache_dir())
     stats = cache.stats()
     if not stats:
         print(f"result cache at {cache.directory}: no entries")
@@ -464,24 +458,20 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_clear(args: argparse.Namespace) -> int:
-    cache = make_result_cache(args.cache_dir)
-    removed = cache.clear(kind=args.kind)
+    cache = ResultCache(args.cache_dir or default_cache_dir())
+    try:
+        removed = cache.clear(kind=args.kind)
+    except ExperimentError as error:
+        print(f"cannot clear: {error}", file=sys.stderr)
+        return 2
     what = f"{args.kind!r} entries" if args.kind else "entries"
     print(f"removed {removed} cached {what} from {cache.directory}")
     return 0
 
 
-def _cmd_cache_migrate(args: argparse.Namespace) -> int:
-    """Pack legacy per-file cache entries into the segment store."""
-    cache = make_result_cache(args.cache_dir, layout="packed")
-    result = cache.migrate()
-    print(f"result cache at {cache.directory}: {result.summary()}")
-    return 0
-
-
 def _cmd_cache_compact(args: argparse.Namespace) -> int:
     """Rewrite segments to live records only, reclaiming dead bytes."""
-    cache = make_result_cache(args.cache_dir, layout="packed")
+    cache = ResultCache(args.cache_dir or default_cache_dir())
     result = cache.compact()
     print(f"result cache at {cache.directory}: {result.summary()}")
     return 0
@@ -535,7 +525,7 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    cache = make_result_cache(args.cache_dir)
+    cache = ResultCache(args.cache_dir or default_cache_dir())
     result = cache.prune(max_age_seconds=args.max_age, max_bytes=args.max_bytes)
     print(f"result cache at {cache.directory}: {result.summary()}")
     return 0
@@ -1057,14 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evict oldest entries until the cache fits SIZE (bytes, or 512k/100m/2g)",
     )
     cache_prune.set_defaults(handler=_cmd_cache_prune)
-    cache_migrate = cache_subparsers.add_parser(
-        "migrate",
-        help=(
-            "pack legacy one-file-per-cell entries into the segment store "
-            "(invalid/stale-schema files are dropped; they load as misses)"
-        ),
-    )
-    cache_migrate.set_defaults(handler=_cmd_cache_migrate)
     cache_compact = cache_subparsers.add_parser(
         "compact",
         help=(
@@ -1073,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     cache_compact.set_defaults(handler=_cmd_cache_compact)
-    for sub in (cache_stats, cache_clear, cache_prune, cache_migrate, cache_compact):
+    for sub in (cache_stats, cache_clear, cache_prune, cache_compact):
         sub.add_argument(
             "--cache-dir",
             default=None,

@@ -9,6 +9,7 @@
 * :mod:`repro.sim.settings` -- the shared experiment settings value,
 * :mod:`repro.sim.jobs` -- the picklable per-cell job model,
 * :mod:`repro.sim.runner` -- pluggable-backend job execution with caching,
+* :mod:`repro.sim.store` -- the packed on-disk result store,
 * :mod:`repro.sim.experiments` -- one entry point per paper table/figure,
 * :mod:`repro.sim.specs` -- declarative experiment specs and the central
   ``EXPERIMENTS`` registry,
@@ -30,19 +31,17 @@ from repro.sim.jobs import ExperimentJob, execute_job
 from repro.sim.results import SimulationResult, VmResult
 from repro.sim.runner import (
     ExperimentRunner,
-    LegacyResultCache,
-    ResultCache,
     RunnerBackend,
     RunnerStats,
     backend_by_name,
     default_runner,
-    make_result_cache,
     register_runner_backend,
     registered_backends,
     set_default_runner,
     using_runner,
 )
 from repro.sim.settings import ExperimentSettings
+from repro.sim.store import ResultCache
 
 # Imported after the engine modules above: registers every built-in
 # experiment spec in the EXPERIMENTS registry as an import-time side effect.
@@ -96,9 +95,7 @@ __all__ = [
     "ExperimentJob",
     "execute_job",
     "ExperimentRunner",
-    "LegacyResultCache",
     "ResultCache",
-    "make_result_cache",
     "RunnerBackend",
     "RunnerStats",
     "backend_by_name",

@@ -21,7 +21,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from repro.errors import ExperimentError
 from repro.sim.distributed.protocol import CoordinatorClient
 from repro.sim.jobs import ExperimentJob, code_fingerprint
-from repro.sim.runner import JobExecutor, Metrics, RunnerBackend
+from repro.sim.runner import JobExecutor, RunnerBackend
+from repro.sim.store import Metrics
 
 #: Environment variable naming the coordinator URL (the registry factory
 #: reads it; ``--coordinator`` on the CLI sets it for the process).

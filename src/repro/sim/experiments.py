@@ -62,8 +62,9 @@ from repro.sim.jobs import (
     FIGURE6_CONFIGS,
     ExperimentJob,
 )
-from repro.sim.runner import ExperimentRunner, Metrics, default_runner
+from repro.sim.runner import ExperimentRunner, default_runner
 from repro.sim.settings import PAPER_TIMESLICE_CYCLES, ExperimentSettings
+from repro.sim.store import Metrics
 from repro.sim.timeline import CoreFailed, Timeline, VmArrived, VmDeparted
 from repro.workloads.profiles import PAPER_WORKLOAD_NAMES
 

@@ -70,9 +70,9 @@ from repro.virt.vcpu import ReliabilityMode
 #:
 #: Version 3: results live in the packed segment store
 #: (:mod:`repro.sim.store`): records gain ``kind``/``ts`` envelope fields
-#: and payloads are compact (no pretty-printing).  Per-file v2 entries
-#: written by older code are clean misses; ``repro cache migrate`` packs
-#: (and current-version legacy files read through) without re-executing.
+#: and payloads are compact (no pretty-printing).  Per-file entries
+#: (``<kind>/<key>.json``) written by older code are never read; ``repro
+#: cache clear`` removes them.
 CACHE_SCHEMA_VERSION = 3
 
 _CODE_FINGERPRINT: Optional[str] = None

@@ -1,9 +1,8 @@
 """Plain-text reporting for the reproduction experiments.
 
 :func:`full_report` runs every experiment and stitches their tables into one
-document -- this is what the ``EXPERIMENTS.md`` measurements were generated
-with, and what the benchmark harness prints so results can be compared to the
-paper side by side.
+document -- this is what the benchmark harness prints so results can be
+compared to the paper side by side.
 """
 
 from __future__ import annotations

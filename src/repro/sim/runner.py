@@ -26,10 +26,10 @@ Results are memoised twice:
 
 * **in memory** for the lifetime of the runner (a batch that enumerates the
   same cell twice simulates it once), and
-* **on disk** (optional) through a result store from
-  :mod:`repro.sim.store` -- by default the packed segment store
-  (append-only segment files plus a per-kind manifest; see that module
-  for the format), probed and written through its *batched* APIs: the
+* **on disk** (optional) through the packed segment store of
+  :mod:`repro.sim.store` (append-only segment files plus a per-kind
+  manifest; see that module for the format), probed and written through
+  its *batched* APIs: the
   cache-hit phase probes the whole batch at once, and the execute phase
   stores completed cells in chunks (one append + one ``fsync`` per
   chunk).  Cells still land in the cache as their chunk completes, so a
@@ -66,27 +66,8 @@ from typing import (
 )
 
 from repro.errors import ExperimentError
-from repro.sim.jobs import CACHE_SCHEMA_VERSION, ExperimentJob, execute_job
-
-# Result stores live in repro.sim.store; re-exported here because this
-# module has always been their import location.
-from repro.sim.store import (  # noqa: F401  (re-exports)
-    CACHE_DIR_ENV,
-    CACHE_LAYOUT_ENV,
-    DEFAULT_CACHE_DIR,
-    AnyResultCache,
-    CacheCompactResult,
-    CacheKindStats,
-    CacheMigrateResult,
-    CachePruneResult,
-    JsonValue,
-    LegacyResultCache,
-    Metrics,
-    ResultCache,
-    _entry_schema_version,
-    default_cache_dir,
-    make_result_cache,
-)
+from repro.sim.jobs import ExperimentJob, execute_job
+from repro.sim.store import Metrics, ResultCache, default_cache_dir
 
 
 @dataclass
@@ -377,7 +358,7 @@ class ExperimentRunner:
         use_cache: Optional[bool] = None,
         executor: JobExecutor = execute_job,
         backend: Union[None, str, RunnerBackend] = None,
-        cache: Optional[AnyResultCache] = None,
+        cache: Optional[ResultCache] = None,
     ) -> None:
         if jobs < 1:
             raise ExperimentError("an ExperimentRunner needs at least one worker")
@@ -389,17 +370,17 @@ class ExperimentRunner:
         if isinstance(backend, str):
             backend = backend_by_name(backend)
         self.backend = backend
-        #: ``cache=`` accepts a ready-made store object (any layout);
-        #: otherwise caching defaults to "on exactly when a cache directory
-        #: was given" (``use_cache=True`` enables it at the default
-        #: location), built by :func:`make_result_cache` so the layout
-        #: honours ``REPRO_CACHE_LAYOUT``.
+        #: ``cache=`` accepts a ready-made store; otherwise caching defaults
+        #: to "on exactly when a cache directory was given"
+        #: (``use_cache=True`` enables it at the default location).
         if cache is not None:
-            self.cache: Optional[AnyResultCache] = cache
+            self.cache: Optional[ResultCache] = cache
         else:
             if use_cache is None:
                 use_cache = cache_dir is not None
-            self.cache = make_result_cache(cache_dir) if use_cache else None
+            self.cache = (
+                ResultCache(cache_dir or default_cache_dir()) if use_cache else None
+            )
         self._executor = executor
         self._memo: Dict[ExperimentJob, Metrics] = {}
         self.stats = RunnerStats()

@@ -84,7 +84,8 @@ from repro.sim.fleet.cells import fleet_jobs, fleet_samples, fleet_topology
 from repro.sim.fleet.traffic import SCENARIO_NAMES
 from repro.sim.frames import FrameView, MetricColumn, MetricSchema, ResultFrame
 from repro.sim.jobs import ExperimentJob
-from repro.sim.runner import ExperimentRunner, Metrics, default_runner
+from repro.sim.runner import ExperimentRunner, default_runner
+from repro.sim.store import Metrics
 
 __all__ = [
     "EXPERIMENTS",

@@ -16,9 +16,9 @@ def isolated_cache(tmp_path, monkeypatch):
 
 def cached_entries(cache_dir, kind):
     """Entry count for one kind, read through a fresh cache instance."""
-    from repro.sim.runner import make_result_cache
+    from repro.sim.store import ResultCache
 
-    stats = make_result_cache(cache_dir).stats().get(kind)
+    stats = ResultCache(cache_dir).stats().get(kind)
     return stats.entries if stats is not None else 0
 
 
@@ -207,22 +207,38 @@ def test_cache_stats_and_clear_by_kind(capsys, isolated_cache):
     assert "no entries" in capsys.readouterr().out
 
 
+def test_cache_clear_removes_the_whole_kind_directory(capsys, isolated_cache):
+    # A per-file entry an older build left behind is never read; clearing
+    # must still delete it along with the kind's segments.
+    assert main(["figure5", "--quick", "--workloads", "apache"]) == 0
+    (isolated_cache / "figure5" / "deadbeef.json").write_text("{}", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["cache", "clear"]) == 0
+    assert "removed 3 cached entries" in capsys.readouterr().out
+    assert not (isolated_cache / "figure5").exists()
+
+
+def test_cache_clear_refuses_a_kind_outside_the_cache(capsys, isolated_cache):
+    assert main(["cache", "clear", "--kind", ".."]) == 2
+    assert "not a result-cache kind" in capsys.readouterr().err
+
+
 def test_cache_stats_reports_schema_version_breakdown(capsys, isolated_cache):
-    import json
+    from repro.sim.store import ResultCache
 
     assert main(["figure5", "--quick", "--workloads", "apache"]) == 0
-    # Plant a pre-redesign (version 1) entry next to the fresh ones: it
-    # must show up in the breakdown even though loads treat it as a miss.
-    stale = isolated_cache / "figure5" / "deadbeef.json"
-    stale.write_text(
-        json.dumps({"schema": 1, "key": "deadbeef", "metrics": {"user_ipc": 1.0}}),
-        encoding="utf-8",
-    )
+    # Plant a packed record from an older schema (version 2) next to the
+    # fresh ones: it must show up in the breakdown even though loads treat
+    # it as a miss.
+    stale = {"schema": 2, "key": "deadbeef", "metrics": {"user_ipc": 1.0}}
+    cache = ResultCache(isolated_cache)
+    cache._kind("figure5").append([("deadbeef", stale)])
+    cache.flush()
     capsys.readouterr()
     assert main(["cache", "stats"]) == 0
     out = capsys.readouterr().out
     assert "versions" in out
-    assert "v1:1" in out and "v3:3" in out
+    assert "v2:1" in out and "v3:3" in out
 
 
 def test_faults_subcommand(capsys):
@@ -340,27 +356,9 @@ def test_cache_prune_by_age_and_size(capsys, isolated_cache):
     assert "0 from cache" in capsys.readouterr().out
 
 
-def test_cache_migrate_packs_legacy_entries(capsys, isolated_cache, monkeypatch):
-    # Populate a legacy per-file cache, migrate it into the packed layout,
-    # then confirm a packed run serves every cell warm.
-    monkeypatch.setenv("REPRO_CACHE_LAYOUT", "legacy")
-    assert main(["figure5", "--quick", "--workloads", "apache"]) == 0
-    capsys.readouterr()
-    assert len(list(isolated_cache.glob("figure5/*.json"))) == 3
-
-    monkeypatch.delenv("REPRO_CACHE_LAYOUT")
-    assert main(["cache", "migrate"]) == 0
-    out = capsys.readouterr().out
-    assert "packed 3 legacy entries across 1 kinds" in out
-    assert not list(isolated_cache.glob("figure5/*.json"))
-
-    assert main(["figure5", "--quick", "--workloads", "apache"]) == 0
-    assert "0 executed, 3 from cache" in capsys.readouterr().out
-
-
 def test_cache_compact_reclaims_overwritten_records(capsys, isolated_cache):
     from repro.sim.jobs import ExperimentJob
-    from repro.sim.runner import ResultCache
+    from repro.sim.store import ResultCache
 
     cache = ResultCache(isolated_cache)
     job = ExperimentJob(kind="figure5", workload="apache")

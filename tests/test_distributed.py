@@ -36,8 +36,9 @@ from repro.sim.distributed.backend import COORDINATOR_ENV, coordinator_from_env
 from repro.sim.experiments import collect_frames, figure5_jobs, switch_overhead_jobs
 from repro.sim.frames import frames_document
 from repro.sim.jobs import ExperimentJob, code_fingerprint, register_job_kind
-from repro.sim.runner import ExperimentRunner, ResultCache, backend_by_name
+from repro.sim.runner import ExperimentRunner, backend_by_name
 from repro.sim.settings import ExperimentSettings
+from repro.sim.store import ResultCache
 
 QUICK = ExperimentSettings.quick().with_workloads(("apache",)).with_seeds((0,))
 

@@ -3,8 +3,8 @@
 These use :meth:`ExperimentSettings.quick` (a heavily scaled machine and two
 workloads) so they exercise the full experiment plumbing -- machine
 construction, simulation, aggregation, formatting -- in a few seconds.  The
-full-scale reproduction numbers live in EXPERIMENTS.md and are regenerated by
-the benchmark harness.
+full-scale reproduction numbers are regenerated by the benchmark harness
+(see ``README.md``).
 """
 
 from __future__ import annotations

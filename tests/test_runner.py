@@ -40,6 +40,7 @@ from repro.sim.experiments import (
     window_ablation_jobs,
 )
 from repro.sim.jobs import (
+    CACHE_SCHEMA_VERSION,
     ExperimentJob,
     execute_job,
     register_job_kind,
@@ -48,8 +49,6 @@ from repro.sim.jobs import (
 )
 from repro.sim.runner import (
     ExperimentRunner,
-    LegacyResultCache,
-    ResultCache,
     RunnerBackend,
     SerialBackend,
     backend_by_name,
@@ -59,6 +58,7 @@ from repro.sim.runner import (
     set_default_runner,
     using_runner,
 )
+from repro.sim.store import ResultCache, _frame_record
 
 QUICK = ExperimentSettings.quick().with_workloads(("apache",))
 
@@ -181,6 +181,51 @@ class TestJobKindRegistry:
         assert "faults" in registered_job_kinds()
 
 
+def plant_record(cache, job, **fields):
+    """Index ``job``'s key at an appended record with doctored body fields.
+
+    The record is well framed (its length and CRC check out), so only the
+    store's payload validation stands between it and a hit.
+    """
+    record = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "key": job.cache_key(),
+        "kind": job.kind,
+        "ts": 0.0,
+        "job": job.to_dict(),
+        "metrics": {"user_ipc": 0.5},
+    }
+    record.update(fields)
+    cache._kind(job.kind).append([(job.cache_key(), record)])
+    cache.flush()
+
+
+def plant_frame(cache, job, payload):
+    """Index ``job``'s key at an appended, correctly framed raw ``payload``."""
+    cache._kind(job.kind)._append_blobs(
+        [(job.cache_key(), _frame_record(payload), "?", 0.0)]
+    )
+    cache.flush()
+
+
+def overwrite_frame(cache, job, data):
+    """Overwrite ``job``'s stored frame in place with ``data``, space-padded."""
+    store = cache._kind(job.kind)
+    entry = store.index()[job.cache_key()]
+    with open(store.segment_dir / entry.segment, "r+b") as handle:
+        handle.seek(entry.offset)
+        handle.write(data.ljust(entry.length, b" ")[: entry.length])
+
+
+def assert_miss_then_restore_hits(tmp_path, cache, job):
+    """``job`` misses (here and in a fresh instance); a re-store hits."""
+    assert cache.load(job) is None
+    assert ResultCache(tmp_path).load(job) is None
+    cache.store(job, {"user_ipc": 0.75})
+    assert cache.load(job) == {"user_ipc": 0.75}
+    assert ResultCache(tmp_path).load(job) == {"user_ipc": 0.75}
+
+
 class TestResultCache:
     def test_store_and_load_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -190,16 +235,14 @@ class TestResultCache:
         assert cache.load(job) == {"user_ipc": 0.5, "throughput": 1.25}
         # The result lands in a packed segment file, not a per-key file.
         assert list((tmp_path / job.kind / "segments").glob("seg-*.seg"))
-        assert not cache.path_for(job).exists()
+        assert not list((tmp_path / job.kind).glob("*.json"))
 
     def test_corrupt_legacy_entries_are_misses(self, tmp_path):
-        # Per-file corruption semantics of the legacy layout (the packed
-        # layout's torn-frame handling is covered in test_store.py).
-        cache = LegacyResultCache(tmp_path)
+        # A record from another cache schema version is a clean miss.
+        cache = ResultCache(tmp_path)
         job = quick_job()
-        cache.store(job, {"user_ipc": 0.5})
-        cache.path_for(job).write_text("{not json", encoding="utf-8")
-        assert cache.load(job) is None
+        plant_record(cache, job, schema=CACHE_SCHEMA_VERSION - 1)
+        assert_miss_then_restore_hits(tmp_path, cache, job)
 
     @pytest.mark.parametrize(
         "garbage",
@@ -212,49 +255,31 @@ class TestResultCache:
         ],
     )
     def test_truncated_or_malformed_entries_never_raise(self, tmp_path, garbage):
-        # A run killed mid-write must leave a cache the next run can use:
-        # the bad entry reads as a miss and the re-run simply overwrites it.
+        # A frame overwritten in place fails its header/CRC check, and a
+        # well-framed record whose payload is garbage fails decoding: both
+        # read as misses, and the re-run's store simply supersedes them.
         cache = ResultCache(tmp_path)
         job = quick_job()
-        cache.path_for(job).parent.mkdir(parents=True, exist_ok=True)
-        cache.path_for(job).write_bytes(garbage)
-        assert cache.load(job) is None
         cache.store(job, {"user_ipc": 0.5})
-        assert cache.load(job) == {"user_ipc": 0.5}
+        cache.flush()
+        overwrite_frame(cache, job, garbage)
+        assert cache.load(job) is None
+        plant_frame(cache, job, garbage)
+        assert_miss_then_restore_hits(tmp_path, cache, job)
 
     def test_non_dict_metrics_is_a_miss(self, tmp_path):
         # Schema and key check out, but the metrics payload is garbage.
-        from repro.sim.jobs import CACHE_SCHEMA_VERSION
-
         cache = ResultCache(tmp_path)
         job = quick_job()
-        path = cache.path_for(job)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                {"schema": CACHE_SCHEMA_VERSION, "key": job.cache_key(), "metrics": 7}
-            ),
-            encoding="utf-8",
-        )
-        assert cache.load(job) is None
+        plant_record(cache, job, metrics=7)
+        assert_miss_then_restore_hits(tmp_path, cache, job)
 
     def test_key_mismatch_is_a_miss(self, tmp_path):
-        cache = LegacyResultCache(tmp_path)
-        job, other = quick_job(), quick_job(variant="reunion")
-        cache.store(job, {"user_ipc": 0.5})
-        # Simulate a renamed/moved entry: contents describe a different cell.
-        cache.path_for(job).replace(cache.path_for(other))
-        assert cache.load(other) is None
-
-    def test_key_mismatch_in_legacy_read_through_is_a_miss(self, tmp_path):
-        # The packed cache probes legacy per-key files on a miss; a moved
-        # legacy file whose contents describe a different cell must not hit.
-        legacy = LegacyResultCache(tmp_path)
-        job, other = quick_job(), quick_job(variant="reunion")
-        legacy.store(job, {"user_ipc": 0.5})
-        legacy.path_for(job).replace(legacy.path_for(other))
+        # The record indexed under one key describes a different cell.
         cache = ResultCache(tmp_path)
-        assert cache.load(other) is None
+        job, other = quick_job(), quick_job(variant="reunion")
+        plant_record(cache, other, key=job.cache_key())
+        assert_miss_then_restore_hits(tmp_path, cache, other)
 
     def test_clear_removes_every_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -262,6 +287,29 @@ class TestResultCache:
         cache.store(quick_job(variant="reunion"), {"a": 2.0})
         assert cache.clear() == 2
         assert cache.load(quick_job()) is None
+
+    def test_clear_removes_files_older_layouts_left_behind(self, tmp_path):
+        # Pre-packed per-file entries are never read; clearing the kind
+        # deletes its whole directory, them included -- but never a file
+        # the store did not write.
+        cache = ResultCache(tmp_path)
+        cache.store(quick_job(), {"a": 1.0})
+        (tmp_path / "figure5" / "deadbeef.json").write_text("{}", encoding="utf-8")
+        (tmp_path / "figure6").mkdir()
+        (tmp_path / "figure6" / "deadbeef.json").write_text("{}", encoding="utf-8")
+        (tmp_path / "figure6" / "notes.txt").write_text("mine", encoding="utf-8")
+        assert cache.clear(kind="figure5") == 1
+        assert not (tmp_path / "figure5").exists()
+        assert cache.clear() == 0
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["figure6", "notes.txt"]
+
+    @pytest.mark.parametrize("kind", ["", ".", "..", "figure5/segments"])
+    def test_clear_rejects_kinds_outside_the_cache(self, tmp_path, kind):
+        cache = ResultCache(tmp_path / "cache")
+        cache.store(quick_job(), {"a": 1.0})
+        with pytest.raises(ExperimentError, match="not a result-cache kind"):
+            cache.clear(kind=kind)
+        assert cache.load(quick_job()) == {"a": 1.0}
 
     def test_clear_by_kind_prunes_only_that_kind(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -286,38 +334,6 @@ class TestResultCache:
         assert stats["figure6"].entries == 1
         for kind_stats in stats.values():
             assert kind_stats.bytes > 0
-
-    def test_stats_reports_unknown_version_for_partial_entries(self, tmp_path):
-        # A zero-byte or mid-write entry must not be counted under a real
-        # schema version: the tail sniff is only trusted for complete dumps
-        # (ending in the closing brace), otherwise a writer caught between
-        # open and flush would inflate a version bucket with an entry that
-        # loads as a miss.
-        cache = ResultCache(tmp_path)
-        cache.store(quick_job(), {"a": 1.0})
-        kind_dir = cache.path_for(quick_job()).parent
-        (kind_dir / "zero.json").write_bytes(b"")
-        # Truncated mid-write, but the tail still contains a schema match.
-        (kind_dir / "partial.json").write_bytes(b'{"metrics": {"a": 1.0}, "schema": 3')
-        stats = cache.stats()["figure5"]
-        assert stats.entries == 3
-        assert stats.versions["?"] == 2
-        known = {v: n for v, n in stats.versions.items() if v != "?"}
-        assert sum(known.values()) == 1
-
-    def test_stats_full_parse_fallback_for_unsniffable_complete_entries(self, tmp_path):
-        # Hand-edited entries (schema not last, trailing whitespace) are
-        # complete files: they fall back to a full parse, not to "?".
-        cache = ResultCache(tmp_path)
-        job = quick_job()
-        path = cache.path_for(job)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        padding = " " * 512  # push the schema field out of the 256-byte tail
-        path.write_text(
-            '{"schema": 2, "pad": "' + padding + '"}\n', encoding="utf-8"
-        )
-        stats = cache.stats()["figure5"]
-        assert stats.versions == {"2": 1}
 
     def test_store_leaves_no_temporary_files(self, tmp_path):
         # Appends and the atomic manifest publish must clean up after
@@ -685,7 +701,6 @@ class TestKeyLevelCacheApi:
         cache.store_entry(job.kind, key, job.to_dict(), {"metric": 1.5})
         assert cache.load_entry(job.kind, key) == {"metric": 1.5}
         assert cache.load(job) == {"metric": 1.5}
-        assert cache.path_for_key(job.kind, key) == cache.path_for(job)
 
 
 class TestCachePrune:
