@@ -22,8 +22,8 @@ Usage::
 
 ``--repeat`` records N cold runs per leg and reports the best.
 
-Like ``bench_hotpath.py`` this is a plain script that leaves a tracked
-artefact, not a pytest module.
+This is a plain script that leaves a tracked artefact, not a pytest
+module.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ engine's substrates and emits ``BENCH_fleet.json``:
   stable), and the report records both wall times plus the executed count.
 
 Honours the harness conventions: ``REPRO_BENCH_JOBS`` sizes the pool leg
-(default 4).  Like ``bench_hotpath.py`` and ``bench_distributed.py`` this
-is a plain script that leaves a tracked artefact, not a pytest module.
+(default 4).  Like ``bench_distributed.py`` this is a plain script that
+leaves a tracked artefact, not a pytest module.
 
 Usage::
 

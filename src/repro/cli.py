@@ -66,8 +66,8 @@ from repro.core.mmm import MixedModeMulticore
 from repro.core.policies import available_policies
 from repro.errors import ExperimentError
 from repro.sim.experiments import ExperimentSettings, collect_frames, run_all_experiments
-from repro.sim.settings import FIDELITY_TIERS
 from repro.sim.frames import (
+    TIMING_TIER,
     diff_documents,
     document_frames,
     frames_document,
@@ -196,16 +196,6 @@ def _add_sweep_arguments(
             "so larger sweeps only pay for the new seeds)"
         ),
     )
-    parser.add_argument(
-        "--fidelity",
-        choices=FIDELITY_TIERS,
-        default=None,
-        help=(
-            "timing-model fidelity tier: 'accurate' simulates every "
-            "instruction, 'fast' extrapolates from calibrated cycle-accurate "
-            "probes (default: accurate; cache keys are tier-distinct)"
-        ),
-    )
     _add_engine_arguments(parser)
     # --json prints the machine-readable document: the spec's uniform
     # document on a spec subcommand, the canonical multi-frame results
@@ -233,8 +223,6 @@ def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
         settings = settings.with_workloads(tuple(args.workloads))
     if getattr(args, "seeds", None):
         settings = settings.with_seeds(args.seeds)
-    if getattr(args, "fidelity", None):
-        settings = settings.with_fidelity(args.fidelity)
     return settings
 
 
@@ -727,27 +715,23 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     except (ExperimentError, TypeError, ValueError) as error:
         print(f"baseline has malformed settings: {error}", file=sys.stderr)
         return 2
-    if getattr(args, "fidelity", None):
-        settings = settings.with_fidelity(args.fidelity)
 
-    # A cross-tier comparison can only report drift that is really a tier
-    # mismatch (the fast tier is calibrated, not exact), so it is refused
-    # up front -- before paying for the re-run -- with the mismatch named.
-    mismatched_tiers = sorted(
+    # A baseline simulated at a removed timing tier can only report drift
+    # that is really a tier mismatch, so it is refused up front -- before
+    # paying for the re-run -- with the tier named.
+    removed_tiers = sorted(
         {
             frame.fidelity
             for frame in baseline.values()
-            if frame.fidelity is not None and frame.fidelity != settings.fidelity
+            if frame.fidelity is not None and frame.fidelity != TIMING_TIER
         }
     )
-    if mismatched_tiers:
+    if removed_tiers:
         print(
             f"fidelity tier mismatch: baseline {args.baseline!r} was simulated "
-            f"at tier {', '.join(repr(t) for t in mismatched_tiers)}, but this "
-            f"diff would re-run at tier {settings.fidelity!r}; cross-tier "
-            "numbers differ by design. Re-run with "
-            f"--fidelity {mismatched_tiers[0]} or record a new baseline at the "
-            "requested tier.",
+            f"at tier {', '.join(repr(t) for t in removed_tiers)}, which was "
+            f"removed; this build only simulates the {TIMING_TIER!r} tier. "
+            "Record a new baseline.",
             file=sys.stderr,
         )
         return 2
@@ -960,16 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e-12,
         metavar="A",
         help="absolute tolerance for numeric comparisons (default: 1e-12)",
-    )
-    diff_parser.add_argument(
-        "--fidelity",
-        choices=FIDELITY_TIERS,
-        default=None,
-        help=(
-            "re-run the baseline at this fidelity tier instead of the tier "
-            "recorded in its settings (a tier mismatch with the baseline's "
-            "frames is refused with exit code 2)"
-        ),
     )
     _add_engine_arguments(diff_parser)
     diff_parser.set_defaults(handler=_cmd_diff)

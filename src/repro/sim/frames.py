@@ -52,6 +52,7 @@ from repro.errors import ExperimentError
 
 __all__ = [
     "FRAME_SCHEMA_VERSION",
+    "TIMING_TIER",
     "AGGREGATES",
     "DTYPES",
     "MetricColumn",
@@ -70,6 +71,12 @@ __all__ = [
 #: to :meth:`ResultFrame.to_json`; ``repro diff`` refuses mismatched
 #: baselines instead of mis-reading them.
 FRAME_SCHEMA_VERSION = 1
+
+#: The timing tier every frame and every document's ``settings`` block
+#: records.  The simulator has one timing model, so this is a fixed format
+#: field: committed baselines and pinned digests carry it, and ``repro
+#: diff`` refuses a baseline that records any other tier.
+TIMING_TIER = "accurate"
 
 #: How a metric column folds its per-cell samples into one frame cell.
 AGGREGATES = ("mean_ci", "mean", "sum", "last", "derive")
@@ -287,11 +294,12 @@ class ResultFrame:
     title: str
     schema: MetricSchema
     rows: List[Dict[str, CellValue]] = field(default_factory=list)
-    #: Fidelity tier the frame's cells were simulated at ("accurate" or
-    #: "fast"); ``None`` for frames predating the tier axis.  ``repro diff``
-    #: refuses to compare frames across tiers -- the fast tier is calibrated,
-    #: not bit-identical, so a cross-tier diff would report drift that is
-    #: really a tier mismatch.
+    #: Timing tier recorded in the serialized frame.  A fixed format field:
+    #: :meth:`assemble` always writes :data:`TIMING_TIER`, so documents stay
+    #: byte-identical to the committed baselines that carry the key.  It is
+    #: still read back (``None`` for frames predating the key), because a
+    #: baseline from outside the program may record another tier, and
+    #: comparing its numbers as drift would be misleading.
     fidelity: Optional[str] = None
 
     # ------------------------------------------------------------------ #
@@ -306,7 +314,6 @@ class ResultFrame:
         *,
         name: str,
         title: str = "",
-        fidelity: Optional[str] = None,
     ) -> "ResultFrame":
         """Fold ``(key tuple, values)`` samples into an aggregated frame.
 
@@ -333,7 +340,7 @@ class ResultFrame:
                 if metric in values:
                     group.setdefault(metric, []).append(values[metric])
 
-        frame = cls(name=name, title=title, schema=schema, fidelity=fidelity)
+        frame = cls(name=name, title=title, schema=schema, fidelity=TIMING_TIER)
         for key, batches in groups.items():
             row: Dict[str, CellValue] = dict(zip(schema.keys, key))
             derived: List[MetricColumn] = []
@@ -724,17 +731,16 @@ def diff_frames(
         and current.fidelity is not None
         and baseline.fidelity != current.fidelity
     ):
-        # Cross-tier numbers differ by design (the fast tier is calibrated,
-        # not exact); reporting them as value drift would be misleading.
+        # Numbers from another timing tier differ by design; reporting them
+        # as value drift would be misleading.
         drifts.append(
             FrameDrift(
                 frame=baseline.name,
                 kind="fidelity-mismatch",
                 detail=(
                     f"baseline simulated at fidelity={baseline.fidelity!r}, "
-                    f"current at fidelity={current.fidelity!r}; re-run with "
-                    f"--fidelity {baseline.fidelity} (or record a new baseline) "
-                    "instead of comparing across tiers"
+                    f"current at fidelity={current.fidelity!r}; record a new "
+                    "baseline instead of comparing across tiers"
                 ),
             )
         )
@@ -827,12 +833,15 @@ def frames_document(
 
     ``settings`` (a plain JSON-safe mapping, typically
     ``dataclasses.asdict(ExperimentSettings)``) is embedded so that
-    ``repro diff`` can re-run the exact same evaluation.
+    ``repro diff`` can re-run the exact same evaluation; it also records
+    :data:`TIMING_TIER`, like every frame.
     """
     return {
         "format": DOCUMENT_FORMAT,
         "frame_version": FRAME_SCHEMA_VERSION,
-        "settings": dict(settings) if settings is not None else None,
+        "settings": (
+            {**settings, "fidelity": TIMING_TIER} if settings is not None else None
+        ),
         "frames": {name: frame.to_json() for name, frame in frames.items()},
     }
 

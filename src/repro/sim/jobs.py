@@ -48,7 +48,6 @@ from repro.config.presets import evaluation_system_config, paper_system_config
 from repro.config.system import ConsistencyModel, PabLookupMode, SystemConfig
 from repro.core.machine import MixedModeMachine, VmSpec
 from repro.core.transitions import TransitionFlavor
-from repro.cpu.fastpath import FastTimingModel
 from repro.cpu.timing import CoreAssignment, ExecutionMode
 from repro.errors import ExperimentError
 from repro.sim.results import SimulationResult
@@ -545,8 +544,6 @@ def simulate_cell(job: ExperimentJob) -> SimulationResult:
         )
     else:
         raise ExperimentError(f"{job.kind!r} cells are not Simulator-driven")
-    if settings.fidelity == "fast":
-        machine.timing_model = FastTimingModel(machine.timing_model)
     return Simulator(machine, settings.options(), timeline=job_timeline(job)).run()
 
 

@@ -38,6 +38,7 @@ from repro.sim.experiments import (
 )
 from repro.sim.frames import (
     FRAME_SCHEMA_VERSION,
+    TIMING_TIER,
     FrameView,
     MetricColumn,
     MetricSchema,
@@ -396,9 +397,11 @@ class TestDiff:
         # Frames without a tier serialize without the key, byte-stable with
         # documents written before the field existed.
         legacy = unit_frame()
+        legacy.fidelity = None
         assert "fidelity" not in legacy.to_json()
+        # Assembled frames record the one timing tier.
         other = unit_frame()
-        other.fidelity = "accurate"
+        assert other.fidelity == TIMING_TIER == "accurate"
         drifts = diff_frames(frame, other)
         assert [d.kind for d in drifts] == ["fidelity-mismatch"]
         assert "fast" in drifts[0].detail
@@ -444,24 +447,33 @@ class TestCliExportAndDiff:
         out = capsys.readouterr().out
         assert "value-drift" in out and "user_ipc" in out
 
-    def test_diff_rejects_fidelity_mismatch_with_clear_message(self, capsys, tmp_path):
-        # A fast-tier baseline diffed under accurate settings is a usage
-        # error (exit 2), not drift: the tiers legitimately disagree, and
-        # re-running the other tier could never match.
-        assert main(self.BASELINE_ARGV + ["--fidelity", "fast"]) == 0
+    def test_diff_rejects_fidelity_mismatch_with_clear_message(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        assert main(self.BASELINE_ARGV) == 0
         document = json.loads(capsys.readouterr().out)
+        # The output format still records the one timing tier everywhere.
+        assert document["settings"]["fidelity"] == "accurate"
+        assert {frame["fidelity"] for frame in document["frames"].values()} == {
+            "accurate"
+        }
+        # A baseline recording the removed fast tier (as older builds wrote
+        # it) is a usage error (exit 2), not drift, and is refused before
+        # anything is re-run.
+        for frame in document["frames"].values():
+            frame["fidelity"] = "fast"
         baseline = tmp_path / "fast-baseline.json"
         baseline.write_text(json.dumps(document), encoding="utf-8")
-        # A plain diff inherits the baseline's recorded tier and passes.
-        assert main(["diff", str(baseline)]) == 0
-        capsys.readouterr()
-        # Forcing the other tier is refused before paying for the re-run.
-        assert main(["diff", str(baseline), "--fidelity", "accurate"]) == 2
+
+        def no_rerun(*args, **kwargs):
+            raise AssertionError("diff re-ran a refused baseline")
+
+        monkeypatch.setattr("repro.cli.collect_frames", no_rerun)
+        assert main(["diff", str(baseline)]) == 2
         err = capsys.readouterr().err
         assert "fidelity tier mismatch" in err
-        assert "'fast'" in err and "--fidelity fast" in err
-        # A baseline with no recorded settings (legacy document) defaults
-        # to the accurate tier, so its fast frames are a mismatch too.
+        assert "'fast'" in err and "removed" in err and "new baseline" in err
+        # A baseline with no recorded settings is refused the same way.
         document.pop("settings", None)
         baseline.write_text(json.dumps(document), encoding="utf-8")
         assert main(["diff", str(baseline)]) == 2

@@ -14,34 +14,45 @@ Bit-identity (not tolerance) is the contract: the batched loop performs
 its float additions on the cycle accumulator in the same order as the
 reference, draws from the shared RNG in the same order, and replicates the
 reference's stats key-presence rules exactly.
+
+Besides the hand-picked cases, :func:`test_parity_random_cases` draws cases
+from a fixed ``random.Random`` seed over workload profile, execution mode,
+contention, budget, start cycle and stop conditions.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Optional
 
 import pytest
 
 from repro.config.presets import paper_system_config
 from repro.core.machine import MixedModeMachine, VmSpec
-from repro.cpu.timing import CoreAssignment, ExecutionMode
+from repro.cpu.timing import CoreAssignment, ExecutionMode, StopReason
 from repro.faults.injector import FaultRates
 from repro.virt.vcpu import ReliabilityMode
+from repro.workloads.profiles import PAPER_WORKLOAD_NAMES
 
 
-def _build_machine(seed: int, fault_rates: Optional[FaultRates] = None):
+def _build_machine(
+    seed: int,
+    fault_rates: Optional[FaultRates] = None,
+    workloads: tuple = ("oltp", "apache"),
+):
     config = paper_system_config().validate()
+    reliable_workload, performance_workload = workloads
     specs = [
         VmSpec(
             name="reliable",
-            workload="oltp",
+            workload=reliable_workload,
             num_vcpus=2,
             reliability=ReliabilityMode.RELIABLE,
             phase_scale=0.02,
         ),
         VmSpec(
             name="performance",
-            workload="apache",
+            workload=performance_workload,
             num_vcpus=2,
             reliability=ReliabilityMode.PERFORMANCE,
             phase_scale=0.02,
@@ -94,12 +105,15 @@ def _assert_identical(batched, reference):
         assert got.physical_address == want.physical_address
 
 
-def _compare_quanta(seed, *, mode, vcpu_index, quanta, fault_rates=None, **kwargs):
+def _compare_quanta(
+    seed, *, mode, vcpu_index, quanta, fault_rates=None, workloads=("oltp", "apache"),
+    start_cycle=0, require_progress=True, **kwargs,
+):
     """Run ``quanta`` consecutive quanta through both paths and compare."""
-    fast = _build_machine(seed, fault_rates=fault_rates)
-    slow = _build_machine(seed, fault_rates=fault_rates)
+    fast = _build_machine(seed, fault_rates=fault_rates, workloads=workloads)
+    slow = _build_machine(seed, fault_rates=fault_rates, workloads=workloads)
     for index in range(quanta):
-        start = index * kwargs.get("cycle_budget", 0)
+        start = start_cycle + index * kwargs.get("cycle_budget", 0)
         batched = _run(
             fast, "run_quantum", mode=mode, vcpu_index=vcpu_index,
             start_cycle=start, **kwargs,
@@ -109,7 +123,8 @@ def _compare_quanta(seed, *, mode, vcpu_index, quanta, fault_rates=None, **kwarg
             start_cycle=start, **kwargs,
         )
         _assert_identical(batched, reference)
-        assert batched.instructions > 0
+        if require_progress:
+            assert batched.instructions > 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -156,6 +171,78 @@ def test_parity_with_fault_hook():
                     quanta=3, cycle_budget=20_000, fault_rates=rates)
     _compare_quanta(2, mode=ExecutionMode.PERFORMANCE, vcpu_index=2,
                     quanta=3, cycle_budget=20_000, fault_rates=rates)
+
+
+# Performance-mode VCPUs (index 2/3) run with the PAB; baseline and DMR
+# drive the reliable VM's first VCPU.
+_RANDOM_MODES = {
+    "baseline": (ExecutionMode.BASELINE, 0),
+    "dmr": (ExecutionMode.DMR, 0),
+    "performance-pab": (ExecutionMode.PERFORMANCE, 2),
+}
+_RANDOM_QUANTA = 3
+
+
+def _draw_random_cases(count: int, seed: int = 2009):
+    """``count`` ``(id, _compare_quanta kwargs)`` pairs from a fixed seed."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        stop = rng.choice(("none", "os-entry", "os-exit", "max-instructions"))
+        machine_seed = rng.randrange(1_000)
+        # Both VMs run the drawn profile.
+        workload = rng.choice(PAPER_WORKLOAD_NAMES)
+        mode_name = rng.choice(sorted(_RANDOM_MODES))
+        mode, vcpu_index = _RANDOM_MODES[mode_name]
+        kwargs = {
+            "seed": machine_seed,
+            "mode": mode,
+            "vcpu_index": vcpu_index,
+            "workloads": (workload, workload),
+            "active_cores": rng.choice((None, 1, 2, 4, 8, 16)),
+            "cycle_budget": rng.randrange(5_000, 100_000),
+            "start_cycle": rng.randrange(0, 2_000_000),
+            "stop_on_os_entry": stop == "os-entry",
+            "stop_on_os_exit": stop == "os-exit",
+            "max_instructions": (
+                rng.randrange(50, 1_000) if stop == "max-instructions" else None
+            ),
+        }
+        cases.append((f"{workload}-{mode_name}-s{machine_seed}-{stop}", kwargs))
+    return cases
+
+
+_RANDOM_CASES = _draw_random_cases(24)
+
+
+def test_random_cases_cover_every_axis():
+    """The drawn cases span every axis, and every stop reason fires."""
+    cases = [dict(kwargs) for _, kwargs in _RANDOM_CASES]
+    assert {case["mode"] for case in cases} == set(ExecutionMode)
+    assert {case["workloads"][0] for case in cases} == set(PAPER_WORKLOAD_NAMES)
+    assert {case["active_cores"] is None for case in cases} == {True, False}
+    reasons = set()
+    for case in cases:
+        machine = _build_machine(case.pop("seed"), workloads=case.pop("workloads"))
+        start = case.pop("start_cycle")
+        for index in range(_RANDOM_QUANTA):
+            result = _run(
+                machine, "run_quantum",
+                start_cycle=start + index * case["cycle_budget"], **case,
+            )
+            reasons.add(result.stop_reason)
+    assert reasons == set(StopReason)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [kwargs for _, kwargs in _RANDOM_CASES],
+    ids=[case_id for case_id, _ in _RANDOM_CASES],
+)
+def test_parity_random_cases(kwargs):
+    # A quantum that stops on its first OS boundary may legitimately commit
+    # nothing, so progress is not required -- only bit-identity.
+    _compare_quanta(quanta=_RANDOM_QUANTA, require_progress=False, **kwargs)
 
 
 def test_parity_fault_recovery_observed():
