@@ -15,13 +15,14 @@ requests.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, NamedTuple, Optional, Set
 
 from repro.common.stats import StatSet
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     """Tracking state for one line."""
 
@@ -39,6 +40,20 @@ class DirectoryEntry:
         if self.owner is not None:
             holders.add(self.owner)
         return holders
+
+
+class DirectoryImage(NamedTuple):
+    """A packed copy of the directory, taken by :meth:`Directory.snapshot`.
+
+    Per entry, in entry order: its line, its owner (``None`` for none) and
+    the index of its sharer set in ``groups``, which holds each distinct
+    sharer set once."""
+
+    lines: array
+    owners: tuple
+    group_ids: array
+    groups: tuple
+    counts: tuple
 
 
 class Directory:
@@ -158,3 +173,44 @@ class Directory:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    # ------------------------------------------------------------------ #
+    # Snapshot and restore
+    # ------------------------------------------------------------------ #
+
+    def snapshot(self) -> DirectoryImage:
+        """A packed copy of every entry and the counters."""
+        entries = self._entries.values()
+        group_index: Dict[tuple, int] = {}
+        group_ids = array("q")
+        for entry in entries:
+            group = tuple(entry.sharers)
+            index = group_index.get(group)
+            if index is None:
+                index = group_index[group] = len(group_index)
+            group_ids.append(index)
+        return DirectoryImage(
+            lines=array("q", self._entries),
+            owners=tuple(entry.owner for entry in entries),
+            group_ids=group_ids,
+            groups=tuple(group_index),
+            counts=tuple(self._counts.items()),
+        )
+
+    def restore(self, image: DirectoryImage) -> None:
+        """Make the directory equal to ``image``, in place (the entry map and
+        the counter dict keep their identity)."""
+        entries = self._entries
+        entries.clear()
+        entries.update(
+            zip(
+                image.lines,
+                map(
+                    DirectoryEntry,
+                    image.owners,
+                    map(set, map(image.groups.__getitem__, image.group_ids)),
+                ),
+            )
+        )
+        self._counts.clear()
+        self._counts.update(image.counts)

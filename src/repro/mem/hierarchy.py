@@ -34,16 +34,23 @@ incoherent lines are discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.common.stats import StatSet
 from repro.config.system import SystemConfig
 from repro.errors import MemorySystemError
-from repro.mem.cache import SetAssociativeCache
-from repro.mem.directory import Directory
+from repro.mem.cache import CacheImage, SetAssociativeCache, lru_line
+from repro.mem.directory import Directory, DirectoryEntry, DirectoryImage
 from repro.mem.dram import MainMemory
-from repro.mem.interconnect import Interconnect
-from repro.mem.lines import LineState
+from repro.mem.interconnect import DEFAULT_WINDOW_CYCLES, Interconnect
+from repro.mem.lines import CacheLine, LineState
+
+# Enum members read through the class cost an attribute lookup each; the
+# access paths below run per simulated access and read these instead.
+_SHARED = LineState.SHARED
+_OWNED = LineState.OWNED
+_MODIFIED = LineState.MODIFIED
+_INVALID = LineState.INVALID
 
 
 @dataclass(slots=True)
@@ -65,6 +72,29 @@ class FlushResult:
     lines_inspected: int
     dirty_writebacks: int
     incoherent_dropped: int
+
+
+class WarmCheckpoint(NamedTuple):
+    """A packed copy of a whole hierarchy, taken by
+    :meth:`MemoryHierarchy.checkpoint` and put back by
+    :meth:`MemoryHierarchy.restore`: every cache, the directory, the
+    interconnect's bandwidth window and every counter."""
+
+    l1d: Tuple[CacheImage, ...]
+    l1i: Tuple[CacheImage, ...]
+    l2: Tuple[CacheImage, ...]
+    l3: CacheImage
+    directory: DirectoryImage
+    #: The interconnect's ``(cycles, offchip bytes, capacity)`` window.
+    window: tuple
+    interconnect_counts: tuple
+    memory_counts: tuple
+    counts: tuple
+
+
+def _reset_counts(counts: dict, items: tuple) -> None:
+    counts.clear()
+    counts.update(items)
 
 
 class MemoryHierarchy:
@@ -129,42 +159,81 @@ class MemoryHierarchy:
                 f"core {core_id} outside the configured {self.num_cores}-core chip"
             )
 
-    def _line(self, address: int) -> int:
-        return address & self._line_neg_mask
-
-    def _victimise_l2_line(self, core_id: int, victim) -> None:
-        """Handle an L2 eviction: victim goes to the exclusive L3 if coherent."""
-        counts = self._counts
-        self.directory.record_eviction(victim.line_addr, core_id)
-        if not victim.coherent:
-            counts["l2.incoherent_victims_dropped"] += 1
-            return
-        l3_victim = self.l3.insert(
-            victim.line_addr,
-            state=victim.state if victim.state is not LineState.INVALID else LineState.SHARED,
-            dirty=victim.dirty,
-            coherent=True,
-        )
-        counts["l2.victims_to_l3"] += 1
+    def _write_back_l3_victim(self, l3_victim: Optional[CacheLine]) -> None:
+        """Send a line pushed out of the L3 off chip when it needs a writeback."""
         if l3_victim is not None and l3_victim.needs_writeback:
             self.interconnect.record_offchip_transfer()
             self.memory.writeback_latency(self.interconnect.offchip_contention_factor())
-            counts["l3.writebacks"] += 1
+            self._counts["l3.writebacks"] += 1
 
     def _fill_l2(
         self, core_id: int, line_addr: int, state: LineState, dirty: bool, coherent: bool
     ) -> None:
-        victim = self.l2[core_id].insert(line_addr, state, dirty, coherent)
-        if victim is not None:
-            # Keep the L1 consistent with the L2 (inclusive L1/L2 assumption).
-            self.l1d[core_id].invalidate(victim.line_addr)
-            self.l1i[core_id].invalidate(victim.line_addr)
-            self._victimise_l2_line(core_id, victim)
+        """Insert a line into ``core_id``'s L2.
 
-    def _fill_l1(self, core_id: int, line_addr: int, coherent: bool) -> None:
-        # The write-through L1 never holds dirty data, so victims are dropped
-        # (and their line objects recycled by the specialised fill).
-        self.l1d[core_id].fill_shared(line_addr, coherent)
+        This is ``SetAssociativeCache.insert`` on the L2, inline, followed
+        for a victim by its removal from the core's L1s (inclusive L1/L2),
+        its directory eviction and its drop (incoherent) or its insertion
+        into the exclusive L3 (coherent), whose own dirty victim is written
+        back.  Each component's state and counters evolve exactly as through
+        the methods named.  The victim's line object is then reused for the
+        new line.
+        """
+        l2 = self.l2[core_id]
+        l2_lines = l2._lines
+        l2._touch_counter = stamp = l2._touch_counter + 1
+        line = l2_lines.get(line_addr)
+        if line is not None:
+            line.state = state
+            line.dirty = line.dirty or dirty
+            line.coherent = coherent
+            line.last_touch = stamp
+            return
+        tag = line_addr >> l2._line_shift
+        mask = l2._set_mask
+        index = tag & mask if mask is not None else tag % l2._num_sets
+        cache_set = l2._sets.get(index)
+        if cache_set is None:
+            cache_set = l2._sets[index] = {}
+        if len(cache_set) >= l2._associativity:
+            line = lru_line(cache_set)
+            victim_addr = line.line_addr
+            del cache_set[victim_addr]
+            del l2_lines[victim_addr]
+            l2._counts["evictions"] += 1
+            l1d = self.l1d[core_id]
+            if victim_addr in l1d._lines:
+                l1d.invalidate(victim_addr)
+            l1i = self.l1i[core_id]
+            if victim_addr in l1i._lines:
+                l1i.invalidate(victim_addr)
+            entry = self._dir_entries.get(victim_addr)
+            if entry is not None:
+                if entry.owner == core_id:
+                    entry.owner = None
+                entry.sharers.discard(core_id)
+                self.directory._counts["evictions"] += 1
+            if not line.coherent:
+                self._counts["l2.incoherent_victims_dropped"] += 1
+            else:
+                victim_state = line.state
+                l3_victim = self.l3.insert(
+                    victim_addr,
+                    victim_state if victim_state is not _INVALID else _SHARED,
+                    line.dirty,
+                    True,
+                )
+                self._counts["l2.victims_to_l3"] += 1
+                self._write_back_l3_victim(l3_victim)
+            line.line_addr = line_addr
+            line.state = state
+            line.dirty = dirty
+            line.coherent = coherent
+            line.last_touch = stamp
+        else:
+            line = CacheLine(line_addr, state, dirty, coherent, stamp)
+        cache_set[line_addr] = l2_lines[line_addr] = line
+        l2._counts["fills"] += 1
 
     def _invalidate_remote_copies(self, line_addr: int, cores: set[int]) -> None:
         counts = self._counts
@@ -219,11 +288,11 @@ class MemoryHierarchy:
                 if invalidations:
                     latency += self._inv_latency
                 self._invalidate_remote_copies(line_addr, targets)
-                self._fill_l2(core_id, line_addr, LineState.MODIFIED, dirty=True, coherent=True)
+                self._fill_l2(core_id, line_addr, _MODIFIED, dirty=True, coherent=True)
             else:
                 self.directory.record_downgrade(line_addr, owner)
                 self.directory.record_shared_fetch(line_addr, core_id)
-                self._fill_l2(core_id, line_addr, LineState.SHARED, dirty=False, coherent=True)
+                self._fill_l2(core_id, line_addr, _SHARED, dirty=False, coherent=True)
             self.l1d[core_id].fill_shared(line_addr, True)
             return (latency, "c2c", True, False, invalidations)
 
@@ -240,10 +309,10 @@ class MemoryHierarchy:
                 if invalidations:
                     latency += self._inv_latency
                 self._invalidate_remote_copies(line_addr, targets)
-                self._fill_l2(core_id, line_addr, LineState.MODIFIED, dirty=True, coherent=True)
+                self._fill_l2(core_id, line_addr, _MODIFIED, dirty=True, coherent=True)
             else:
                 self.directory.record_shared_fetch(line_addr, core_id)
-                state = LineState.OWNED if dirty else LineState.SHARED
+                state = _OWNED if dirty else _SHARED
                 self._fill_l2(core_id, line_addr, state, dirty=dirty, coherent=True)
             self.l1d[core_id].fill_shared(line_addr, True)
             return (latency, "l3", False, False, invalidations)
@@ -260,10 +329,10 @@ class MemoryHierarchy:
             if invalidations:
                 latency += self._inv_latency
             self._invalidate_remote_copies(line_addr, targets)
-            self._fill_l2(core_id, line_addr, LineState.MODIFIED, dirty=True, coherent=True)
+            self._fill_l2(core_id, line_addr, _MODIFIED, dirty=True, coherent=True)
         else:
             self.directory.record_shared_fetch(line_addr, core_id)
-            self._fill_l2(core_id, line_addr, LineState.SHARED, dirty=False, coherent=True)
+            self._fill_l2(core_id, line_addr, _SHARED, dirty=False, coherent=True)
         self.l1d[core_id].fill_shared(line_addr, True)
         return (latency, "memory", False, True, invalidations)
 
@@ -312,14 +381,14 @@ class MemoryHierarchy:
             counts["l2.hits"] += 1
             latency = self._l2_hit_latency
             invalidations = 0
-            if l2_line.state in (LineState.SHARED, LineState.OWNED):
+            if l2_line.state in (_SHARED, _OWNED):
                 targets = self.directory.record_exclusive_fetch(line_addr, core_id)
                 targets.discard(core_id)
                 invalidations = len(targets)
                 if invalidations:
                     latency += self._inv_latency
                 self._invalidate_remote_copies(line_addr, targets)
-            l2_line.state = LineState.MODIFIED
+            l2_line.state = _MODIFIED
             l2_line.dirty = True
             dir_entry = self._dir_entries.get(line_addr)
             if (dir_entry.owner if dir_entry is not None else None) != core_id:
@@ -393,7 +462,7 @@ class MemoryHierarchy:
         self._fill_l2(
             core_id,
             line_addr,
-            LineState.MODIFIED if is_store else LineState.SHARED,
+            _MODIFIED if is_store else _SHARED,
             dirty=is_store,
             coherent=False,
         )
@@ -439,59 +508,143 @@ class MemoryHierarchy:
         """Functionally warm caches by touching ``addresses`` with loads.
 
         Each address is loaded coherently on ``core_id`` and, when a
-        ``secondary_core`` is given (a DMR mute), incoherently on that core --
-        exactly the access sequence the simulator's per-address warming loop
-        used to issue, without the per-access wrapper overhead.  Returns the
-        number of addresses touched.
+        ``secondary_core`` is given (a DMR mute), incoherently on that core.
+        State and statistics end exactly as through one ``_coherent_load``
+        (then one ``_mute_access``) per address.  Returns the number of
+        addresses touched.
         """
         self._check_core(core_id)
         if secondary_core is not None:
             self._check_core(secondary_core)
-        coherent_load = self._coherent_load
-        mute_access = self._mute_access
-        # Re-warming after a VM switch mostly re-touches resident lines, so
-        # the L1-hit path of _coherent_load (and of the mute load) is inlined
-        # here; misses take the full access path.  Counters evolve exactly as
-        # through the out-of-line calls.
+        # A warm walks a working set larger than the L1, so primary loads
+        # almost never hit it: they hit the L2, or come from the L3 or memory
+        # with no remote L2 holding the line.  Those paths run inline below
+        # (up to the L2 fill, one call), with the same effects, in the same
+        # order per component, as _coherent_load, _coherent_miss_fill and
+        # the cache, directory and interconnect methods they call.  An L1
+        # hit, a remote holder (a cache-to-cache transfer) and the mute load
+        # take the out-of-line paths.
         neg_mask = self._line_neg_mask
         counts = self._counts
         l1 = self.l1d[core_id]
         l1_lines = l1._lines
+        l1_sets = l1._sets
         l1_counts = l1._counts
+        l1_ways = l1._associativity
+        l1_shift = l1._line_shift
+        l1_set_mask = l1._set_mask
+        l2 = self.l2[core_id]
+        l2_lines = l2._lines
+        l2_counts = l2._counts
+        l3 = self.l3
+        l3_lines = l3._lines
+        l3_sets = l3._sets
+        l3_counts = l3._counts
+        l3_shift = l3._line_shift
+        l3_set_mask = l3._set_mask
+        dir_entries = self._dir_entries
+        dir_counts = self.directory._counts
+        interconnect = self.interconnect
+        ic_counts = interconnect._counts
+        line_bytes = interconnect.line_bytes
+        memory_access = self.memory.access_latency
+        contention = interconnect.offchip_contention_factor
+        coherent_load = self._coherent_load
+        remote_holder = self._remote_holder
+        miss_fill = self._coherent_miss_fill
+        fill_l2 = self._fill_l2
+        mute_access = self._mute_access
+        mute = secondary_core is not None
+        shared = _SHARED
+        owned = _OWNED
         count = 0
-        if secondary_core is None:
-            for address in addresses:
-                line = l1_lines.get(address & neg_mask)
-                if line is not None:
-                    l1._touch_counter = counter = l1._touch_counter + 1
-                    line.last_touch = counter
-                    l1_counts["hits"] += 1
-                    counts["l1d.hits"] += 1
-                else:
-                    coherent_load(core_id, address)
-                count += 1
-            return count
-        m_l1 = self.l1d[secondary_core]
-        m_lines = m_l1._lines
-        m_counts = m_l1._counts
         for address in addresses:
-            line = l1_lines.get(address & neg_mask)
-            if line is not None:
-                l1._touch_counter = counter = l1._touch_counter + 1
-                line.last_touch = counter
-                l1_counts["hits"] += 1
-                counts["l1d.hits"] += 1
-            else:
-                coherent_load(core_id, address)
-            m_line = m_lines.get(address & neg_mask)
-            if m_line is not None:
-                m_l1._touch_counter = counter = m_l1._touch_counter + 1
-                m_line.last_touch = counter
-                m_counts["hits"] += 1
-                counts["mute.l1d.hits"] += 1
-            else:
-                mute_access(secondary_core, address, False)
             count += 1
+            line_addr = address & neg_mask
+            if line_addr in l1_lines:
+                coherent_load(core_id, address)
+                if mute:
+                    mute_access(secondary_core, address, False)
+                continue
+            l1_counts["misses"] += 1
+            counts["l1d.misses"] += 1
+            line = l2_lines.get(line_addr)
+            if line is not None:
+                l2._touch_counter = stamp = l2._touch_counter + 1
+                line.last_touch = stamp
+                l2_counts["hits"] += 1
+                counts["l2.hits"] += 1
+                coherent = line.coherent
+            else:
+                l2_counts["misses"] += 1
+                counts["l2.misses"] += 1
+                entry = dir_entries.get(line_addr)
+                if (
+                    entry is not None
+                    and (entry.owner is not None or entry.sharers)
+                    and remote_holder(line_addr, core_id) is not None
+                ):
+                    miss_fill(core_id, line_addr, False)
+                    if mute:
+                        mute_access(secondary_core, address, False)
+                    continue
+                # The exclusive L3 gives the line up (a touch, then an
+                # invalidate), or memory supplies it.
+                line = l3_lines.pop(line_addr, None)
+                if line is not None:
+                    l3._touch_counter += 1
+                    l3_counts["hits"] += 1
+                    tag = line_addr >> l3_shift
+                    del l3_sets[
+                        tag & l3_set_mask if l3_set_mask is not None else tag % l3._num_sets
+                    ][line_addr]
+                    l3_counts["invalidations"] += 1
+                    counts["l3.hits"] += 1
+                    dirty = line.dirty
+                    state = owned if dirty else shared
+                else:
+                    l3_counts["misses"] += 1
+                    counts["l3.misses"] += 1
+                    interconnect._window_offchip_bytes += line_bytes
+                    ic_counts["offchip_bytes"] += line_bytes
+                    memory_access(contention())
+                    dirty = False
+                    state = shared
+                if entry is None:
+                    entry = dir_entries[line_addr] = DirectoryEntry()
+                if entry.owner != core_id:
+                    entry.sharers.add(core_id)
+                dir_counts["shared_fetches"] += 1
+                fill_l2(core_id, line_addr, state, dirty, True)
+                coherent = True
+            # Fill the L1, which does not hold the line either, as
+            # l1.fill_shared would (reusing a victim's line object).
+            l1._touch_counter = stamp = l1._touch_counter + 1
+            tag = line_addr >> l1_shift
+            index = tag & l1_set_mask if l1_set_mask is not None else tag % l1._num_sets
+            cache_set = l1_sets.get(index)
+            if cache_set is None:
+                cache_set = l1_sets[index] = {}
+            if len(cache_set) >= l1_ways:
+                if l1_ways == 2:
+                    first, second = cache_set.values()
+                    line = second if second.last_touch < first.last_touch else first
+                else:
+                    line = lru_line(cache_set)
+                del cache_set[line.line_addr]
+                del l1_lines[line.line_addr]
+                l1_counts["evictions"] += 1
+                line.line_addr = line_addr
+                line.state = shared
+                line.dirty = False
+                line.coherent = coherent
+                line.last_touch = stamp
+            else:
+                line = CacheLine(line_addr, shared, False, coherent, stamp)
+            cache_set[line_addr] = l1_lines[line_addr] = line
+            l1_counts["fills"] += 1
+            if mute:
+                mute_access(secondary_core, address, False)
         return count
 
     def load(self, core_id: int, address: int, coherent: bool = True) -> AccessResult:
@@ -520,12 +673,11 @@ class MemoryHierarchy:
         for line in resident:
             if line.needs_writeback:
                 dirty_writebacks += 1
-                l3_victim = self.l3.insert(
-                    line.line_addr, state=LineState.OWNED, dirty=True, coherent=True
+                self._write_back_l3_victim(
+                    self.l3.insert(
+                        line.line_addr, state=LineState.OWNED, dirty=True, coherent=True
+                    )
                 )
-                if l3_victim is not None and l3_victim.needs_writeback:
-                    self.interconnect.record_offchip_transfer()
-                    self.stats.add("l3.writebacks")
             elif not line.coherent:
                 incoherent_dropped += 1
             self.directory.record_eviction(line.line_addr, core_id)
@@ -557,6 +709,70 @@ class MemoryHierarchy:
                     cache.invalidate(line.line_addr)
                     dropped += 1
         return dropped
+
+    # ------------------------------------------------------------------ #
+    # Checkpoints
+    # ------------------------------------------------------------------ #
+
+    def is_pristine(self) -> bool:
+        """True while nothing has touched the hierarchy since construction:
+        no access, flush or line, no counter, the initial bandwidth window."""
+        interconnect = self.interconnect
+        return (
+            not self._counts
+            and not self._dir_entries
+            and not self.directory._counts
+            and not self.memory._counts
+            and not interconnect._counts
+            and interconnect._window_offchip_bytes == 0
+            and interconnect._window_cycles == DEFAULT_WINDOW_CYCLES
+            and all(
+                not cache._sets and not cache._counts and cache._touch_counter == 0
+                for cache in (*self.l1d, *self.l1i, *self.l2, self.l3)
+            )
+        )
+
+    def checkpoint(self) -> WarmCheckpoint:
+        """A packed copy of the whole hierarchy's state."""
+        interconnect = self.interconnect
+        return WarmCheckpoint(
+            l1d=tuple(cache.snapshot() for cache in self.l1d),
+            l1i=tuple(cache.snapshot() for cache in self.l1i),
+            l2=tuple(cache.snapshot() for cache in self.l2),
+            l3=self.l3.snapshot(),
+            directory=self.directory.snapshot(),
+            window=(
+                interconnect._window_cycles,
+                interconnect._window_offchip_bytes,
+                interconnect._window_capacity,
+            ),
+            interconnect_counts=tuple(interconnect._counts.items()),
+            memory_counts=tuple(self.memory._counts.items()),
+            counts=tuple(self._counts.items()),
+        )
+
+    def restore(self, checkpoint: WarmCheckpoint) -> None:
+        """Put back the state of a :meth:`checkpoint` taken on a hierarchy of
+        the same configuration.  Every map and counter dict is refilled in
+        place, so references bound to them stay valid."""
+        for caches, images in (
+            (self.l1d, checkpoint.l1d),
+            (self.l1i, checkpoint.l1i),
+            (self.l2, checkpoint.l2),
+        ):
+            for cache, image in zip(caches, images):
+                cache.restore(image)
+        self.l3.restore(checkpoint.l3)
+        self.directory.restore(checkpoint.directory)
+        interconnect = self.interconnect
+        (
+            interconnect._window_cycles,
+            interconnect._window_offchip_bytes,
+            interconnect._window_capacity,
+        ) = checkpoint.window
+        _reset_counts(interconnect._counts, checkpoint.interconnect_counts)
+        _reset_counts(self.memory._counts, checkpoint.memory_counts)
+        _reset_counts(self._counts, checkpoint.counts)
 
     # ------------------------------------------------------------------ #
     # Introspection helpers

@@ -20,6 +20,9 @@ from __future__ import annotations
 from repro.common.stats import StatSet
 from repro.config.system import InterconnectConfig, MemoryConfig
 
+#: Length of the bandwidth window in force until ``begin_window`` is called.
+DEFAULT_WINDOW_CYCLES = 10_000
+
 
 class Interconnect:
     """Latency and bandwidth bookkeeping for the on-chip fabric and DRAM link."""
@@ -37,7 +40,7 @@ class Interconnect:
         # A generous default window so that users who never call
         # ``begin_window`` (unit tests, ad-hoc experiments) do not observe
         # spurious bandwidth saturation.
-        self._window_cycles = 10_000
+        self._window_cycles = DEFAULT_WINDOW_CYCLES
         self._window_offchip_bytes = 0
         self._window_capacity = memory_config.bytes_per_cycle() * self._window_cycles
 

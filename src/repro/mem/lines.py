@@ -60,4 +60,4 @@ class CacheLine:
         Incoherent (mute-fetched) lines are never written back -- Reunion's
         mute core must not expose values outside its private hierarchy.
         """
-        return self.valid and self.dirty and self.coherent
+        return self.dirty and self.coherent and self.valid

@@ -133,6 +133,23 @@ class TestFlush:
         # The coherent dirty line survived in the L3.
         assert hierarchy.l3.contains(ADDR)
 
+    def test_flush_writes_dirty_l3_victims_back_to_memory(self, hierarchy):
+        l3_lines = hierarchy.config.l3.num_lines
+        l2_lines = hierarchy.config.l2.num_lines
+        # A full L3 of dirty lines, and a full L2 of dirty lines elsewhere:
+        # every line the flush pushes into the L3 evicts a dirty one.
+        for index in range(l3_lines):
+            hierarchy.l3.insert(0x100_0000 + 64 * index, LineState.OWNED, dirty=True)
+        for index in range(l2_lines):
+            hierarchy.store(0, 0x200_0000 + 64 * index)
+        assert hierarchy.stats.get("l3.writebacks") == 0
+        offchip = hierarchy.interconnect.stats.get("offchip_bytes")
+        result = hierarchy.flush_l2(0)
+        assert result.dirty_writebacks == l2_lines
+        assert hierarchy.stats.get("l3.writebacks") == l2_lines
+        assert hierarchy.memory.stats.get("writebacks") == l2_lines
+        assert hierarchy.interconnect.stats.get("offchip_bytes") == offchip + 64 * l2_lines
+
     def test_flush_cost_scales_with_l2_size(self, small_config, paper_config):
         small = MemoryHierarchy(small_config).flush_l2(0).cycles
         # The paper's 512 KB L2 flush is ~8k cycles (8192 frames).

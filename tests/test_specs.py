@@ -211,6 +211,10 @@ class TestBackendDeterminism:
 
     CASES = {
         "figure5": dict(),                      # simulation family
+        "figure6": dict(),                      # multi-VM re-warm
+        # Identical machines warm identically, so all but the first per
+        # process restore the warm-state checkpoint (a process-global memo).
+        "fleet": dict(machines=4, racks=2),
         "table2": dict(phases_to_measure=1, measurement_phase_scale=0.02),
         "faults": dict(trials=4),               # faults family
     }
