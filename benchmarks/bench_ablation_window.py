@@ -11,21 +11,26 @@ parameters and shows the per-thread IPC recovering.
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.sim.experiments import run_window_ablation
+from repro.sim.specs import EXPERIMENTS
 
 
 def test_window_and_consistency_ablation(benchmark, bench_settings, experiment_cache):
     settings = bench_settings.with_workloads(bench_settings.workloads[:2])
-    result = run_once(
+    frame = run_once(
         benchmark,
-        lambda: experiment_cache.get("ablation", lambda: run_window_ablation(settings)),
+        lambda: experiment_cache.get(
+            "ablation",
+            lambda: EXPERIMENTS["ablation"].run(settings, explicit_workloads=True),
+        ),
     )
     print()
-    print(result.format_table())
+    print(frame.to_table())
 
-    for row in result.rows:
-        normalized = row.normalized()
-        benchmark.extra_info[f"{row.workload}.window256_tso"] = round(
+    for workload in frame.axis_values("workload"):
+        normalized = frame.normalized(
+            "user_ipc", "variant", "window128-sc", workload=workload
+        )
+        benchmark.extra_info[f"{workload}.window256_tso"] = round(
             normalized["window256-tso"], 3
         )
         # A larger window helps (within noise), and adding the store buffer

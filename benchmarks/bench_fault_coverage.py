@@ -16,20 +16,25 @@ cells across harness runs.
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
+from repro.faults.cells import assemble_campaign_reports
 from repro.faults.outcomes import FaultOutcome
-from repro.sim.experiments import run_fault_coverage_experiment
-from repro.sim.reporting import format_coverage_reports
+from repro.sim.experiments import ExperimentSettings
+from repro.sim.specs import EXPERIMENTS
 
 
 def test_fault_coverage_by_configuration(benchmark):
-    result = run_once(
+    run = run_once(
         benchmark,
-        lambda: run_fault_coverage_experiment(trials_per_site=50, seeds=(0, 1, 2)),
+        lambda: EXPERIMENTS["faults"].execute(
+            ExperimentSettings().with_seeds((0, 1, 2)), trials=50
+        ),
     )
     print()
-    print(format_coverage_reports(result.reports()))
+    print(run.frame().to_table())
 
-    by_name = {row.configuration: row.report for row in result.rows}
+    # The frame carries the aggregate columns; the outcome counts come from
+    # the per-trial records of the same run.
+    by_name, _ = assemble_campaign_reports(run.jobs, run.results)
     for name, report in by_name.items():
         benchmark.extra_info[f"{name}.coverage"] = round(report.coverage, 3)
 

@@ -9,23 +9,25 @@ servers hurt the most.
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.sim.experiments import run_dmr_overhead_experiment
+from repro.sim.specs import EXPERIMENTS
 
 
 def test_figure5a_per_thread_ipc(benchmark, bench_settings, experiment_cache):
-    result = run_once(
+    frame = run_once(
         benchmark,
         lambda: experiment_cache.get(
-            "figure5", lambda: run_dmr_overhead_experiment(bench_settings)
+            "figure5", lambda: EXPERIMENTS["figure5"].run(bench_settings)
         ),
     )
     print()
-    print(result.format_ipc_table())
+    print(frame.to_table())
 
-    for row in result.rows:
-        normalized = row.normalized_ipc()
-        benchmark.extra_info[f"{row.workload}.no_dmr"] = round(normalized["no-dmr"], 3)
-        benchmark.extra_info[f"{row.workload}.reunion"] = round(normalized["reunion"], 3)
+    for workload in frame.axis_values("workload"):
+        normalized = frame.normalized(
+            "user_ipc", "configuration", "no-dmr-2x", workload=workload
+        )
+        benchmark.extra_info[f"{workload}.no_dmr"] = round(normalized["no-dmr"], 3)
+        benchmark.extra_info[f"{workload}.reunion"] = round(normalized["reunion"], 3)
         # Reunion must lose per-thread IPC relative to both non-DMR baselines.
         assert normalized["reunion"] < 1.0
         assert normalized["reunion"] < normalized["no-dmr"]

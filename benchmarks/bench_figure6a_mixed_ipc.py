@@ -9,25 +9,29 @@ loses ~6.5% to shared-L3 displacement).
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.sim.experiments import run_mixed_mode_experiment
+from repro.sim.specs import EXPERIMENTS
 
 
 def test_figure6a_per_thread_ipc(benchmark, bench_settings, experiment_cache):
-    result = run_once(
+    frame = run_once(
         benchmark,
         lambda: experiment_cache.get(
-            "figure6", lambda: run_mixed_mode_experiment(bench_settings)
+            "figure6", lambda: EXPERIMENTS["figure6"].run(bench_settings)
         ),
     )
     print()
-    print(result.format_ipc_table())
+    print(frame.to_table())
 
-    for row in result.rows:
-        performance = row.normalized_performance_ipc()
-        reliable = row.normalized_reliable_ipc()
-        benchmark.extra_info[f"{row.workload}.perf.mmm_ipc"] = round(performance["mmm-ipc"], 3)
-        benchmark.extra_info[f"{row.workload}.perf.mmm_tp"] = round(performance["mmm-tp"], 3)
-        benchmark.extra_info[f"{row.workload}.reliable.mmm_tp"] = round(reliable["mmm-tp"], 3)
+    for workload in frame.axis_values("workload"):
+        performance = frame.normalized(
+            "performance_ipc", "configuration", "dmr-base", workload=workload
+        )
+        reliable = frame.normalized(
+            "reliable_ipc", "configuration", "dmr-base", workload=workload
+        )
+        benchmark.extra_info[f"{workload}.perf.mmm_ipc"] = round(performance["mmm-ipc"], 3)
+        benchmark.extra_info[f"{workload}.perf.mmm_tp"] = round(performance["mmm-tp"], 3)
+        benchmark.extra_info[f"{workload}.reliable.mmm_tp"] = round(reliable["mmm-tp"], 3)
         # The performance VM speeds up once it leaves DMR mode.
         assert performance["mmm-ipc"] > 1.0
         assert performance["mmm-tp"] > 1.0

@@ -8,25 +8,28 @@ throughput by 1.7-2.3x.
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.sim.experiments import run_mixed_mode_experiment
+from repro.sim.specs import EXPERIMENTS
 
 
 def test_figure6b_throughput(benchmark, bench_settings, experiment_cache):
-    result = run_once(
+    frame = run_once(
         benchmark,
         lambda: experiment_cache.get(
-            "figure6", lambda: run_mixed_mode_experiment(bench_settings)
+            "figure6", lambda: EXPERIMENTS["figure6"].run(bench_settings)
         ),
     )
     print()
-    print(result.format_throughput_table())
+    print(frame.to_table())
 
-    for row in result.rows:
-        performance = row.normalized_performance_throughput()
-        overall = row.normalized_overall_throughput()
-        ipc_speedup = row.normalized_performance_ipc()
-        benchmark.extra_info[f"{row.workload}.perf_vm"] = round(performance["mmm-tp"], 3)
-        benchmark.extra_info[f"{row.workload}.overall"] = round(overall["mmm-tp"], 3)
+    for workload in frame.axis_values("workload"):
+        def normalized(metric):
+            return frame.normalized(metric, "configuration", "dmr-base", workload=workload)
+
+        performance = normalized("performance_throughput")
+        overall = normalized("overall_throughput")
+        ipc_speedup = normalized("performance_ipc")
+        benchmark.extra_info[f"{workload}.perf_vm"] = round(performance["mmm-tp"], 3)
+        benchmark.extra_info[f"{workload}.overall"] = round(overall["mmm-tp"], 3)
         # MMM-TP multiplies the performance VM's throughput well beyond what
         # per-thread IPC alone provides (it also doubles the VCPU count).
         assert performance["mmm-tp"] > 1.5

@@ -8,25 +8,31 @@ application never uses the PAB and is unaffected.
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.sim.experiments import run_pab_latency_study
+from repro.analysis.metrics import percent_change
+from repro.sim.specs import EXPERIMENTS
 
 
 def test_pab_serial_lookup_sensitivity(benchmark, bench_settings, experiment_cache):
-    result = run_once(
+    frame = run_once(
         benchmark,
         lambda: experiment_cache.get(
-            "pab", lambda: run_pab_latency_study(bench_settings)
+            "pab", lambda: EXPERIMENTS["pab"].run(bench_settings)
         ),
     )
     print()
-    print(result.format_table())
+    print(frame.to_table())
 
-    for row in result.rows:
-        benchmark.extra_info[f"{row.workload}.perf_change_pct"] = round(
-            row.performance_ipc_change_percent, 2
+    for workload in frame.axis_values("workload"):
+        parallel_ipc = frame.value("performance_ipc", workload=workload, lookup="parallel")
+        serial_ipc = frame.value("performance_ipc", workload=workload, lookup="serial")
+        performance_change = percent_change(serial_ipc, parallel_ipc)
+        reliable_change = percent_change(
+            frame.value("reliable_ipc", workload=workload, lookup="serial"),
+            frame.value("reliable_ipc", workload=workload, lookup="parallel"),
         )
+        benchmark.extra_info[f"{workload}.perf_change_pct"] = round(performance_change, 2)
         # Serialising the lookup costs a little performance-mode IPC...
-        assert row.serial_ipc <= row.parallel_ipc
-        assert row.performance_ipc_change_percent > -20.0
+        assert serial_ipc <= parallel_ipc
+        assert performance_change > -20.0
         # ...and leaves the reliable VM essentially untouched.
-        assert abs(row.reliable_ipc_change_percent) < 6.0
+        assert abs(reliable_change) < 6.0

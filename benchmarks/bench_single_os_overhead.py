@@ -9,35 +9,33 @@ frequent OS activity.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
-from repro.sim.experiments import (
-    run_single_os_overhead_study,
-    run_switch_frequency_experiment,
-    run_switch_overhead_experiment,
-)
+from benchmarks.conftest import measurement_settings, run_once
+from repro.sim.specs import EXPERIMENTS
 
 
 def test_single_os_switching_overhead(benchmark, bench_settings, experiment_cache):
-    def compute():
-        table1 = experiment_cache.get(
-            "table1",
-            lambda: run_switch_overhead_experiment(workloads=bench_settings.workloads),
-        )
-        table2 = experiment_cache.get(
-            "table2",
-            lambda: run_switch_frequency_experiment(workloads=bench_settings.workloads),
-        )
-        return run_single_os_overhead_study(table1, table2, bench_settings.workloads)
-
-    result = run_once(benchmark, compute)
+    # The single-OS spec enumerates exactly the Table 1 and Table 2 cells, so
+    # whichever of the three benchmarks runs first simulates them and the
+    # harness-wide runner's in-memory memo serves the other two.
+    frame = run_once(
+        benchmark,
+        lambda: experiment_cache.get(
+            "single-os",
+            lambda: EXPERIMENTS["single-os"].run(
+                measurement_settings(bench_settings), explicit_workloads=True
+            ),
+        ),
+    )
     print()
-    print(result.format_table())
+    print(frame.to_table())
 
-    rows = {row.workload: row for row in result.rows}
-    for row in result.rows:
-        benchmark.extra_info[f"{row.workload}.overhead_pct"] = round(row.overhead_percent, 2)
+    overhead = {
+        w: frame.value("overhead_percent", workload=w) for w in frame.axis_values("workload")
+    }
+    for workload, percent in overhead.items():
+        benchmark.extra_info[f"{workload}.overhead_pct"] = round(percent, 2)
         # The overhead of frequent mode switching stays small.
-        assert row.overhead_percent < 15.0
-    if "apache" in rows and "pgbench" in rows:
+        assert percent < 15.0
+    if "apache" in overhead and "pgbench" in overhead:
         # Apache (shortest round trips) pays the most; pgbench the least.
-        assert rows["apache"].overhead_percent > rows["pgbench"].overhead_percent
+        assert overhead["apache"] > overhead["pgbench"]

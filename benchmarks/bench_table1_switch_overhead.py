@@ -12,26 +12,30 @@ count.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
-from repro.sim.experiments import run_switch_overhead_experiment
+from benchmarks.conftest import measurement_settings, run_once
+from repro.sim.specs import EXPERIMENTS
 
 
 def test_table1_switch_overheads(benchmark, bench_settings, experiment_cache):
-    result = run_once(
+    frame = run_once(
         benchmark,
         lambda: experiment_cache.get(
             "table1",
-            lambda: run_switch_overhead_experiment(workloads=bench_settings.workloads),
+            lambda: EXPERIMENTS["table1"].run(
+                measurement_settings(bench_settings), explicit_workloads=True
+            ),
         ),
     )
     print()
-    print(result.format_table())
+    print(frame.to_table())
 
-    for row in result.rows:
-        benchmark.extra_info[f"{row.workload}.enter"] = round(row.enter_dmr_cycles)
-        benchmark.extra_info[f"{row.workload}.leave"] = round(row.leave_dmr_cycles)
+    for workload in frame.axis_values("workload"):
+        enter = frame.value("enter_dmr_cycles", workload=workload)
+        leave = frame.value("leave_dmr_cycles", workload=workload)
+        benchmark.extra_info[f"{workload}.enter"] = round(enter)
+        benchmark.extra_info[f"{workload}.leave"] = round(leave)
         # Enter DMR lands near the paper's ~2.2-2.4k cycles.
-        assert 1_500 <= row.enter_dmr_cycles <= 4_000
+        assert 1_500 <= enter <= 4_000
         # Leave DMR is dominated by the 8192-line flush (~10k cycles total).
-        assert 9_000 <= row.leave_dmr_cycles <= 16_000
-        assert row.leave_dmr_cycles > 3 * row.enter_dmr_cycles
+        assert 9_000 <= leave <= 16_000
+        assert leave > 3 * enter

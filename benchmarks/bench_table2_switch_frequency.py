@@ -12,32 +12,35 @@ overhead argument rests on -- is preserved.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
-from repro.sim.experiments import run_switch_frequency_experiment
+from benchmarks.conftest import measurement_settings, run_once
+from repro.sim.specs import EXPERIMENTS
 
 
 def test_table2_cycles_between_switches(benchmark, bench_settings, experiment_cache):
-    result = run_once(
+    frame = run_once(
         benchmark,
         lambda: experiment_cache.get(
             "table2",
-            lambda: run_switch_frequency_experiment(workloads=bench_settings.workloads),
+            lambda: EXPERIMENTS["table2"].run(
+                measurement_settings(bench_settings), explicit_workloads=True
+            ),
         ),
     )
     print()
-    print(result.format_table())
+    print(frame.to_table())
 
-    rows = {row.workload: row for row in result.rows}
-    for row in result.rows:
-        benchmark.extra_info[f"{row.workload}.user_kcycles"] = round(row.user_cycles / 1000)
-        benchmark.extra_info[f"{row.workload}.os_kcycles"] = round(row.os_cycles / 1000)
+    user = {w: frame.value("user_cycles", workload=w) for w in frame.axis_values("workload")}
+    os_ = {w: frame.value("os_cycles", workload=w) for w in frame.axis_values("workload")}
+    for workload in user:
+        benchmark.extra_info[f"{workload}.user_kcycles"] = round(user[workload] / 1000)
+        benchmark.extra_info[f"{workload}.os_kcycles"] = round(os_[workload] / 1000)
 
-    if "pgbench" in rows and "apache" in rows:
+    if "pgbench" in user and "apache" in user:
         # pgbench has the longest user phases; apache/zeus the shortest.
-        assert rows["pgbench"].user_cycles > 2 * rows["apache"].user_cycles
-    if "zeus" in rows and "apache" in rows:
+        assert user["pgbench"] > 2 * user["apache"]
+    if "zeus" in user and "apache" in user:
         # Zeus spends the most time in the OS per visit.
-        assert rows["zeus"].os_cycles > rows["apache"].os_cycles
-    if "oltp" in rows and "apache" in rows:
+        assert os_["zeus"] > os_["apache"]
+    if "oltp" in user and "apache" in user:
         # The database workloads enter the OS far less often than the web servers.
-        assert rows["oltp"].user_cycles > rows["apache"].user_cycles
+        assert user["oltp"] > user["apache"]

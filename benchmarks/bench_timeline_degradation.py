@@ -17,38 +17,42 @@ N workers, ``REPRO_BENCH_BACKEND`` picks the runner backend, and
 from __future__ import annotations
 
 from benchmarks.conftest import run_once
-from repro.sim.experiments import run_degradation_experiment
+from repro.sim.specs import EXPERIMENTS
 
 
 def test_timeline_degradation_throughput(benchmark, bench_settings, experiment_cache):
-    result = run_once(
+    frame = run_once(
         benchmark,
         lambda: experiment_cache.get(
-            "degradation", lambda: run_degradation_experiment(bench_settings)
+            "degradation",
+            lambda: EXPERIMENTS["degradation"].run(bench_settings, explicit_workloads=True),
         ),
     )
     print()
-    print(result.format_table())
+    print(frame.to_table())
 
-    for row in result.rows:
-        normalized = row.normalized_throughput()
-        for failed in result.failures:
-            survivors = result.num_cores - failed
-            benchmark.extra_info[f"{row.workload}.{survivors}cores"] = round(
+    num_cores = bench_settings.config().num_cores
+    failures = frame.axis_values("failed_cores")
+    healthy, heaviest = min(failures), max(failures)
+    for workload in frame.axis_values("workload"):
+        normalized = frame.normalized(
+            "throughput", "failed_cores", healthy, workload=workload
+        )
+        for failed in failures:
+            survivors = num_cores - failed
+            benchmark.extra_info[f"{workload}.{survivors}cores"] = round(
                 normalized[failed], 3
             )
         # Every cell's failure events fired mid-run.
-        healthy = min(result.failures)
-        assert row.throughput[healthy].mean > 0
+        assert frame.mean_of("throughput", workload=workload, failed_cores=healthy) > 0
         # Losing cores must not help: throughput at the heaviest failure
         # level sits clearly below the healthy machine.
-        heaviest = max(result.failures)
         if heaviest > healthy:
             assert normalized[heaviest] < 1.0
         # ...and degradation is graceful, not a collapse: the machine keeps
         # at least the surviving-core share of its throughput (minus slack
         # for re-pairing and pausing effects).
-        for failed in result.failures:
-            survivors = result.num_cores - failed
-            floor = 0.5 * survivors / result.num_cores
+        for failed in failures:
+            survivors = num_cores - failed
+            floor = 0.5 * survivors / num_cores
             assert normalized[failed] >= floor

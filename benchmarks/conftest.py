@@ -14,6 +14,11 @@ Set ``REPRO_BENCH_QUICK=1`` to run the whole harness on a heavily scaled
 configuration with two workloads (useful for smoke-testing the harness
 itself; the numbers are then not meaningful).
 
+Every experiment is a registered spec (``EXPERIMENTS[name].run(...)``) and
+every result a :class:`~repro.sim.frames.ResultFrame`, so the benchmarks
+read cells with ``frame.value``/``frame.mean_of``/``frame.normalized`` and
+print ``frame.to_table()``.
+
 The experiments run through the experiment engine of
 :mod:`repro.sim.runner`.  Set ``REPRO_BENCH_JOBS=N`` to fan the simulation
 cells out over N workers, ``REPRO_BENCH_BACKEND=<name>`` to pick the runner
@@ -69,8 +74,21 @@ def bench_settings() -> ExperimentSettings:
     return base.with_seeds(seeds)
 
 
+def measurement_settings(bench_settings: ExperimentSettings) -> ExperimentSettings:
+    """Settings of the Table 1 / Table 2 / single-OS measurements.
+
+    These keep their paper-size parameters even under ``REPRO_BENCH_QUICK``
+    (8 transitions after an 8k-cycle warm-up on the full-size machine for
+    Table 1; 3 phases at phase scale 0.1 for Table 2) and run seed 0 of the
+    harness's workloads; pass ``explicit_workloads=True`` alongside them.
+    """
+    return (
+        ExperimentSettings().with_workloads(bench_settings.workloads).with_seeds((0,))
+    )
+
+
 class _ExperimentCache:
-    """Lazily computed, session-cached experiment results."""
+    """Lazily computed experiment frames, kept for the whole harness run."""
 
     def __init__(self, settings: ExperimentSettings) -> None:
         self.settings = settings
@@ -98,17 +116,8 @@ def experiment_cache(bench_settings) -> _ExperimentCache:
     return _ACTIVE_CACHE
 
 
-#: (cache key, attribute or callable) pairs rendered by the summary hook.
-_REPORT_SECTIONS = (
-    ("figure5", "format_ipc_table"),
-    ("figure5", "format_throughput_table"),
-    ("figure6", "format_ipc_table"),
-    ("figure6", "format_throughput_table"),
-    ("pab", "format_table"),
-    ("table1", "format_table"),
-    ("table2", "format_table"),
-    ("ablation", "format_table"),
-)
+#: Cache keys (spec names) whose frames the summary hook renders.
+_REPORT_SECTIONS = ("figure5", "figure6", "pab", "table1", "table2", "ablation")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -116,12 +125,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _ACTIVE_CACHE is None:
         return
     terminalreporter.write_sep("=", "reproduced tables and figures")
-    for key, formatter in _REPORT_SECTIONS:
-        result = _ACTIVE_CACHE.peek(key)
-        if result is None:
+    for key in _REPORT_SECTIONS:
+        frame = _ACTIVE_CACHE.peek(key)
+        if frame is None:
             continue
         terminalreporter.write_line("")
-        terminalreporter.write_line(getattr(result, formatter)())
+        terminalreporter.write_line(frame.to_table())
 
 
 def run_once(benchmark, fn):

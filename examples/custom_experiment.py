@@ -3,12 +3,12 @@
 
 The experiment layer is driven by the central ``EXPERIMENTS`` registry of
 :mod:`repro.sim.specs`: an experiment is a spec object declaring its
-parameter grid, how grid points become engine jobs, and -- since the frame
-redesign -- a ``MetricSchema`` naming its key axes and typed metric
-columns.  Everything else is generated: the generic assembler folds the
-runner's metrics into a ``ResultFrame`` (aggregating over seeds with 95%
-confidence intervals), and ``to_table`` / ``to_json`` / ``to_csv`` render
-straight from the schema.  Registering the spec makes it a first-class
+parameter grid, how grid points become engine jobs, and the (required)
+``MetricSchema`` naming its key axes and typed metric columns.  Everything
+else is generated: the generic assembler folds the runner's metrics into a
+``ResultFrame`` (aggregating over seeds with 95% confidence intervals), and
+the frame's ``to_table`` / ``to_json`` / ``to_csv`` render straight from
+the schema.  Registering the spec makes it a first-class
 citizen everywhere -- it gains a CLI subcommand (``repro timeslice-sweep``)
 with the engine flags for free, shows up in ``repro list``, rides the
 ``run-all`` batch, and its frame participates in ``repro export`` and
@@ -87,10 +87,10 @@ def main() -> None:
     runner = ExperimentRunner(jobs=4)
     settings = ExperimentSettings.quick().with_seeds((0, 1, 2))
     frame = SPEC.run(settings, runner=runner)
-    print(SPEC.to_table(frame))
+    print(frame.to_table())
     print()
     print("as CSV:")
-    print(SPEC.to_csv(frame))
+    print(frame.to_csv())
     print(f"grid: {SPEC.grid(SPEC.request(settings)).describe()}")
     print(f"engine: {runner.stats.summary()}")
 

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from repro.core.machine import MixedModeMachine, VmSpec
 from repro.config.presets import evaluation_system_config
-from repro.sim.experiments import ExperimentSettings, run_degradation_experiment
+from repro.sim.experiments import ExperimentSettings
 from repro.sim.simulator import SimulationOptions, Simulator
+from repro.sim.specs import EXPERIMENTS
 from repro.sim.timeline import CoreFailed, PolicyChanged, Timeline
 from repro.virt.vcpu import ReliabilityMode
 
@@ -75,13 +76,15 @@ def main() -> None:
     print("2. The same scenario as a sweep (the `degradation` spec)")
     print("-" * 58)
     settings = ExperimentSettings.quick().with_workloads(("oltp",))
-    sweep = run_degradation_experiment(settings, failures=(0, 2, 4, 6))
-    print(sweep.format_table())
-    row = sweep.row("oltp")
-    normalized = row.normalized_throughput()
+    sweep = EXPERIMENTS["degradation"].run(
+        settings, explicit_workloads=True, failures=(0, 2, 4, 6)
+    )
+    print(sweep.to_table())
+    normalized = sweep.normalized("throughput", "failed_cores", 0, workload="oltp")
+    num_cores = settings.config().num_cores
     print()
     for failed, fraction in normalized.items():
-        survivors = sweep.num_cores - failed
+        survivors = num_cores - failed
         print(f"  {survivors:2d} surviving cores -> {fraction:6.1%} of full throughput")
 
 

@@ -9,8 +9,9 @@ runs a multi-seed Figure 5 + Figure 6 sweep twice through an
 1. cold, fanned out over worker processes -- every cell is simulated, and
    the seed sweep is embarrassingly parallel;
 2. warm -- the second run executes *zero* simulation jobs, because every
-   cell's result is served from the on-disk cache (one JSON file per cell
-   under ``.repro-cache/<experiment>/<sha256>.json``).
+   cell's result is served from the on-disk result store under
+   ``.repro-cache/`` (packed segment files indexed by each cell's cache
+   key).
 
 Multi-seed runs feed the experiments' 95% confidence intervals, which is
 exactly what the cache makes cheap: adding a seed later only simulates the
@@ -27,12 +28,9 @@ import os
 import time
 from dataclasses import replace
 
-from repro.sim.experiments import (
-    ExperimentSettings,
-    run_dmr_overhead_experiment,
-    run_mixed_mode_experiment,
-)
+from repro.sim.experiments import ExperimentSettings
 from repro.sim.runner import ExperimentRunner
+from repro.sim.specs import EXPERIMENTS
 
 #: Three seeds per cell so the confidence intervals have spread to report.
 SETTINGS = replace(
@@ -47,11 +45,10 @@ BACKEND = os.environ.get("REPRO_SWEEP_BACKEND", "process")
 
 
 def sweep(runner: ExperimentRunner) -> None:
-    figure5 = run_dmr_overhead_experiment(SETTINGS, runner=runner)
-    figure6 = run_mixed_mode_experiment(SETTINGS, runner=runner)
-    print(figure5.format_ipc_table())
-    print()
-    print(figure6.format_throughput_table())
+    for name in ("figure5", "figure6"):
+        frame = EXPERIMENTS[name].run(SETTINGS, runner=runner)
+        print(frame.to_table())
+        print()
 
 
 def main() -> None:

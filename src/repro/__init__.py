@@ -10,8 +10,11 @@ keep reliable applications safe from faults striking performance-mode cores.
 Typical entry points:
 
 * :class:`repro.MixedModeMulticore` -- build and run a system in a few lines,
-* :mod:`repro.sim.experiments` -- regenerate each of the paper's tables and
-  figures,
+* :data:`repro.sim.specs.EXPERIMENTS` -- regenerate each of the paper's
+  tables and figures: ``EXPERIMENTS["figure5"].run(settings)`` returns a
+  :class:`~repro.sim.frames.ResultFrame`, and
+  :func:`repro.sim.experiments.run_all_experiments` runs them all as one
+  batch,
 * :class:`repro.faults.FaultInjectionCampaign` -- fault-coverage studies.
 """
 

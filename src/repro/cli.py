@@ -74,11 +74,11 @@ from repro.sim.frames import (
     frames_to_csv,
 )
 from repro.sim.jobs import registered_job_kinds
-from repro.sim.reporting import full_report
 from repro.sim.runner import ExperimentRunner, registered_backends
 from repro.sim.specs import (
     EXPERIMENTS,
     ExperimentSpec,
+    SpecRun,
     jsonify,
     parse_positive_int,
     parse_seed_list,
@@ -237,25 +237,52 @@ def _announce_dropped_seeds(spec: ExperimentSpec, args: argparse.Namespace) -> N
         )
 
 
+def _execute_spec(
+    spec: ExperimentSpec, args: argparse.Namespace, runner: ExperimentRunner
+) -> Optional[SpecRun]:
+    """Resolve and run one spec subcommand's request.
+
+    An out-of-range option (``--failures 0,99`` on a 16-core machine, say)
+    surfaces as an :class:`ExperimentError` while the cells are enumerated;
+    that is reported as ``cannot run <spec>: <error>`` and ``None`` is
+    returned, before any cell runs.
+    """
+    options = {option.name: getattr(args, option.name) for option in spec.options}
+    try:
+        request = spec.request(
+            _settings_from_args(args),
+            explicit_workloads=bool(getattr(args, "workloads", None)),
+            **options,
+        )
+        with runner.stats.phase("enumerate"):
+            jobs = spec.enumerate_jobs(request)
+    except ExperimentError as error:
+        print(f"cannot run {spec.name}: {error}", file=sys.stderr)
+        return None
+    results = runner.run_jobs(jobs)
+    return SpecRun(spec=spec, request=request, jobs=jobs, results=results, runner=runner)
+
+
+def _print_spec_result(run: SpecRun, args: argparse.Namespace) -> None:
+    """The spec's JSON document (with its grid) or its generated tables."""
+    if args.json:
+        document = run.spec.to_json(run.frame())
+        document["grid"] = jsonify(
+            {name: list(values) for name, values in run.spec.grid(run.request).axes}
+        )
+        print(json.dumps(document, indent=2, sort_keys=True))
+    else:
+        print(run.frame().to_table())
+
+
 def _run_spec(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     """Generic handler behind every registry-generated subcommand."""
     runner = _runner_from_args(args)
     _announce_dropped_seeds(spec, args)
-    options = {option.name: getattr(args, option.name) for option in spec.options}
-    request = spec.request(
-        _settings_from_args(args),
-        explicit_workloads=bool(getattr(args, "workloads", None)),
-        **options,
-    )
-    result = spec.run(runner=runner, request=request)
-    if args.json:
-        document = spec.to_json(result)
-        document["grid"] = jsonify(
-            {name: list(values) for name, values in spec.grid(request).axes}
-        )
-        print(json.dumps(document, indent=2, sort_keys=True))
-    else:
-        print(spec.to_table(result))
+    run = _execute_spec(spec, args, runner)
+    if run is None:
+        return 2
+    _print_spec_result(run, args)
     _print_engine_stats(runner, to_stderr=args.json)
     return 0
 
@@ -279,22 +306,10 @@ def _run_fuzz(spec: ExperimentSpec, args: argparse.Namespace) -> int:
             print(f"cannot reproduce: {error}", file=sys.stderr)
             return 2
     runner = _runner_from_args(args)
-    options = {option.name: getattr(args, option.name) for option in spec.options}
-    request = spec.request(
-        settings,
-        explicit_workloads=bool(getattr(args, "workloads", None)),
-        **options,
-    )
-    run = spec.execute(runner=runner, request=request)
-    frame = run.result()
-    if args.json:
-        document = spec.to_json(frame)
-        document["grid"] = jsonify(
-            {name: list(values) for name, values in spec.grid(request).axes}
-        )
-        print(json.dumps(document, indent=2, sort_keys=True))
-    else:
-        print(spec.to_table(frame))
+    run = _execute_spec(spec, args, runner)
+    if run is None:
+        return 2
+    _print_spec_result(run, args)
     failing = [
         (job, metrics)
         for job, metrics in run.results.items()
@@ -613,29 +628,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     runner = _runner_from_args(args)
+    everything = run_all_experiments(
+        _settings_from_args(args),
+        runner=runner,
+        include_switching=not args.skip_switching,
+        include_ablation=not args.skip_ablation,
+        include_faults=not args.skip_faults,
+    )
     if args.json:
         # The canonical results document: frames keyed by experiment, with
         # the settings embedded so `repro diff <file>` can re-run it.
-        everything = run_all_experiments(
-            _settings_from_args(args),
-            runner=runner,
-            include_switching=not args.skip_switching,
-            include_ablation=not args.skip_ablation,
-            include_faults=not args.skip_faults,
-        )
         print(json.dumps(everything.to_document(), indent=2, sort_keys=True))
-        _print_engine_stats(runner, to_stderr=True)
-        return 0
-    print(
-        full_report(
-            _settings_from_args(args),
-            include_switching=not args.skip_switching,
-            include_ablation=not args.skip_ablation,
-            include_faults=not args.skip_faults,
-            runner=runner,
-        )
-    )
-    _print_engine_stats(runner)
+    else:
+        print(everything.render())
+    _print_engine_stats(runner, to_stderr=args.json)
     return 0
 
 
@@ -656,8 +662,7 @@ def _frame_names_from_args(args: argparse.Namespace) -> list:
     return [
         name
         for name, spec in EXPERIMENTS.items()
-        if spec.schema is not None
-        and not (spec.run_all_group is not None and skipped.get(spec.run_all_group))
+        if not (spec.run_all_group is not None and skipped.get(spec.run_all_group))
     ]
 
 
@@ -738,21 +743,20 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
     # The baseline's frames define the comparison scope (partial baselines,
     # e.g. from `repro export --experiments`, are legitimate).  A baseline
-    # frame this build can no longer reproduce -- its spec was deleted,
-    # renamed or lost its schema -- is therefore *drift*, not a skip:
+    # frame this build can no longer reproduce -- its spec was deleted or
+    # renamed -- is therefore *drift*, not a skip:
     # silently passing would let a vanished experiment through the gate.
     from repro.sim.frames import FrameDrift
 
     drifts = []
     known = []
     for name in baseline:
-        spec = EXPERIMENTS.get(name)
-        if spec is None or spec.schema is None:
+        if name not in EXPERIMENTS:
             drifts.append(
                 FrameDrift(
                     frame=name,
                     kind="missing-frame",
-                    detail="baseline experiment has no registered schema spec",
+                    detail="baseline experiment has no registered spec",
                 )
             )
         else:

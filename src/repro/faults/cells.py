@@ -10,8 +10,8 @@ This module is the glue between the fault-injection campaign
 * :func:`execute_fault_cell` (registered as the ``faults`` kind) runs one
   chunk of trials and returns the serialized
   :class:`~repro.faults.outcomes.TrialRecord` list as the cell's metrics;
-* :func:`assemble_coverage_reports` folds any mix of fresh and cached cell
-  results back into per-configuration
+* :func:`assemble_campaign_reports` folds any mix of fresh and cached cell
+  results back into per-configuration (and per-seed)
   :class:`~repro.faults.outcomes.CoverageReport` values, in enumeration
   order, so serial, parallel and warm-cache runs assemble byte-identical
   reports.
@@ -24,8 +24,12 @@ process-pool workers rely on.
 At the experiment layer, the campaign is declared as the ``faults``
 :class:`~repro.sim.specs.ExperimentSpec` (see :mod:`repro.sim.specs`),
 whose ``--sweep-rates`` option turns the coverage comparison into the
-fault-space sweep; both legacy entry points in
-:mod:`repro.sim.experiments` are thin wrappers over that spec.
+fault-space sweep.  Its frame carries the aggregate coverage columns; a
+caller that needs the per-trial records folds them from the spec's raw
+run::
+
+    run = EXPERIMENTS["faults"].execute(settings, trials=50)
+    merged, per_seed = assemble_campaign_reports(run.jobs, run.results)
 """
 
 from __future__ import annotations
@@ -145,8 +149,7 @@ def assemble_campaign_reports(
     they executed, so serial, parallel and warm-cache runs of the same sweep
     produce byte-identical reports; each cell's records are deserialized
     once and shared between the two views.  The per-seed view feeds the
-    multi-seed confidence intervals of
-    :func:`repro.sim.experiments.run_fault_coverage_experiment`.
+    multi-seed confidence intervals of the ``faults`` spec's frame.
     """
     merged: Dict[str, CoverageReport] = {}
     per_seed: Dict[Tuple[str, int], CoverageReport] = {}

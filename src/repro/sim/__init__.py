@@ -1,19 +1,20 @@
-"""Simulation driver, results, experiment engine and reporting.
+"""Simulation loop, results and the experiment engine.
 
 * :mod:`repro.sim.simulator` -- the event-driven, quantum-based simulation loop,
 * :mod:`repro.sim.timeline` -- mid-run machine-reshaping event schedules,
 * :mod:`repro.sim.results` -- result containers and metrics,
 * :mod:`repro.sim.frames` -- the schema-driven typed results layer
-  (``MetricSchema`` + ``ResultFrame``: generated rendering, export and
-  baseline diffing),
+  (``MetricSchema`` + ``ResultFrame``, the one result type of every
+  experiment: generated rendering, export and baseline diffing),
 * :mod:`repro.sim.settings` -- the shared experiment settings value,
 * :mod:`repro.sim.jobs` -- the picklable per-cell job model,
 * :mod:`repro.sim.runner` -- pluggable-backend job execution with caching,
 * :mod:`repro.sim.store` -- the packed on-disk result store,
-* :mod:`repro.sim.experiments` -- one entry point per paper table/figure,
+* :mod:`repro.sim.experiments` -- the cell enumerators the specs are built
+  from, and ``run_all_experiments`` (every spec as one batch),
 * :mod:`repro.sim.specs` -- declarative experiment specs and the central
-  ``EXPERIMENTS`` registry,
-* :mod:`repro.sim.reporting` -- plain-text rendering of the results.
+  ``EXPERIMENTS`` registry (``EXPERIMENTS[name].run(settings)`` returns the
+  experiment's ``ResultFrame``).
 """
 
 from repro.sim.frames import (

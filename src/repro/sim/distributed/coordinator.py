@@ -422,7 +422,7 @@ class Coordinator:
 
         settings = ExperimentSettings.from_dict(dict(settings_payload))
         if experiments is None:
-            names = [name for name, spec in EXPERIMENTS.items() if spec.schema is not None]
+            names = list(EXPERIMENTS)
         else:
             names = [experiment(str(name)).name for name in experiments]
         requests, jobs_by_spec, batch = _enumerate_spec_batch(settings, names)
@@ -529,7 +529,6 @@ class Coordinator:
                 run.requests[name], run.jobs_by_spec[name], results
             )
             for name in run.names
-            if EXPERIMENTS[name].schema is not None
         }
         return frames_document(frames, settings=asdict(run.settings))
 

@@ -24,8 +24,9 @@ Everything downstream is *generated* from the schema:
   against a committed baseline.
 
 The frame layer is deliberately independent of the experiment machinery: it
-imports only the stats helpers and the table renderer, so it can be unit
-tested (``tests/test_frames.py``) without running a single simulation.
+imports only the stats and metric helpers and the table renderer, so it can
+be unit tested (``tests/test_frames.py``) without running a single
+simulation.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from typing import (
     Union,
 )
 
+from repro.analysis.metrics import normalize_to
 from repro.analysis.tables import TextTable
 from repro.common.stats import ConfidenceInterval, confidence_interval_95, mean
 from repro.errors import ExperimentError
@@ -394,6 +396,22 @@ class ResultFrame:
     def mean_of(self, metric: str, **keys: object) -> float:
         """The numeric mean of one cell (CI cells collapse to their mean)."""
         return _numeric(self.value(metric, **keys))
+
+    def normalized(
+        self, metric: str, axis: str, baseline: object, **keys: object
+    ) -> Dict[object, float]:
+        """``metric``'s means along ``axis`` as ratios to the ``baseline`` value.
+
+        ``keys`` pin the other key columns (e.g. ``workload="apache"``); the
+        result maps each ``axis`` value to its mean over the baseline's --
+        the numbers a normalising :class:`FrameView` prints.  A zero or
+        missing baseline yields zeros.
+        """
+        self.schema.metric(metric)  # unknown names raise ExperimentError
+        return normalize_to(
+            {row[axis]: _numeric(row[metric]) for row in self.select(**keys)},
+            baseline,
+        )
 
     # ------------------------------------------------------------------ #
     # Generated rendering

@@ -1,23 +1,25 @@
 """Declarative experiment specs and the central ``EXPERIMENTS`` registry.
 
-Every evaluation of the reproduction -- each paper figure/table and the
-fault-injection campaigns -- is described by one :class:`ExperimentSpec`: a
-plain-value object naming the experiment, the :class:`ParameterGrid` of axes
-it sweeps (workload x configuration x seed, ...), how its cells are
-enumerated as :class:`~repro.sim.jobs.ExperimentJob` values, and -- since
-the frame redesign -- a :class:`~repro.sim.frames.MetricSchema` declaring
-its key axes and metric columns.  Running a spec returns a typed
-:class:`~repro.sim.frames.ResultFrame`; the generic assembler of
-:mod:`repro.sim.frames` folds the runner's ``{job: metrics}`` output into
-the frame, aggregating over seeds in one place, and ``to_table`` /
-``to_json`` / ``to_csv`` are *generated* from the schema.
+Every evaluation of the reproduction -- each paper figure/table, the
+dynamic scenarios, the fleet, the fuzz campaign and the fault-injection
+campaigns -- is described by one :class:`ExperimentSpec`: a plain-value
+object naming the experiment, the :class:`ParameterGrid` of axes it sweeps
+(workload x configuration x seed, ...), how its cells are enumerated as
+:class:`~repro.sim.jobs.ExperimentJob` values, and the (required)
+:class:`~repro.sim.frames.MetricSchema` declaring its key axes and metric
+columns.  Running a spec returns a typed
+:class:`~repro.sim.frames.ResultFrame`, the one result type: the generic
+assembler of :mod:`repro.sim.frames` folds the runner's ``{job: metrics}``
+output into the frame, aggregating over seeds in one place, and
+``to_table`` / ``to_json`` / ``to_csv`` are *generated* from the schema.
 
 Specs are registered in the module-level :data:`EXPERIMENTS` registry, which
 is the single source of truth the rest of the system iterates:
 
-* the ``run_*`` entry points of :mod:`repro.sim.experiments` are thin
-  wrappers over :meth:`ExperimentSpec.run` that re-shape the frame into the
-  legacy result dataclasses (views over the frame);
+* ``EXPERIMENTS[name].run(settings)`` returns the frame, and
+  ``EXPERIMENTS[name].execute(settings)`` additionally keeps the raw
+  ``{job: metrics}`` record (the fault campaign's per-trial reports fold
+  from it via :func:`repro.faults.cells.assemble_campaign_reports`);
 * ``run_all_experiments`` enumerates every registered spec's cells into one
   job batch and returns one frame per spec;
 * the CLI generates one subcommand per spec -- flags, help text and
@@ -29,9 +31,8 @@ Adding a new scenario is therefore a ~30-line spec: declare a grid, an
 enumerator mapping grid points to jobs (reusing a registered job kind, or
 registering a new one via :func:`repro.sim.jobs.register_job_kind`), a
 :class:`MetricSchema`, and call :func:`register_experiment`.  See
-``examples/custom_experiment.py`` for a worked example.  Specs without a
-schema remain supported: their ``assemble`` hook runs instead and their
-result renders through the ``tables`` hook.
+``examples/custom_experiment.py`` for a worked example.  A spec without a
+schema is rejected when it is constructed.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from repro.faults.cells import (
 )
 from repro.sim.experiments import (
     ABLATION_VARIANTS,
-    FAULT_COVERAGE_TITLE,
     FIGURE5_CONFIGS,
     FIGURE6_CONFIGS,
     ExperimentSettings,
@@ -292,7 +292,8 @@ class ExperimentSpec:
     The hooks receive a resolved :class:`SpecRequest`; everything else --
     running through a :class:`~repro.sim.runner.ExperimentRunner`, generic
     frame assembly, schema-generated table / JSON / CSV rendering -- is
-    provided by the spec machinery.
+    provided by the spec machinery.  ``schema`` is required: constructing
+    a spec without one raises :class:`~repro.errors.ExperimentError`.
     """
 
     #: Registry key, CLI subcommand and JSON ``experiment`` field.
@@ -311,8 +312,9 @@ class ExperimentSpec:
         lambda request: []
     )
     #: The declared result shape: key axes plus typed metric columns.
-    #: With a schema, running the spec returns a :class:`ResultFrame`
-    #: assembled by the generic fold of :mod:`repro.sim.frames`.
+    #: Running the spec returns a :class:`ResultFrame` assembled from it by
+    #: the generic fold of :mod:`repro.sim.frames`.  Required (the default
+    #: only lets the field follow the defaulted ones; ``None`` is rejected).
     schema: Optional[Callable[[SpecRequest], MetricSchema]] = None
     #: Optional override of the raw samples fed to the frame assembler;
     #: the default maps each job's key coordinates straight off the job and
@@ -322,13 +324,6 @@ class ExperimentSpec:
     cell_samples: Optional[
         Callable[[SpecRequest, Sequence[ExperimentJob], JobResults], Iterable[FrameSample]]
     ] = None
-    #: Legacy assembly hook for specs *without* a schema: fold the runner's
-    #: ``{job: metrics}`` output into an arbitrary result object.
-    assemble: Callable[[SpecRequest, Sequence[ExperimentJob], JobResults], object] = (
-        lambda request, jobs, results: None
-    )
-    #: Legacy rendering hook for specs without a schema.
-    tables: Callable[[object], List[str]] = lambda result: []
     #: Experiment-specific CLI flags.
     options: Tuple[SpecOption, ...] = ()
     #: ``False`` for single-seed measurements: the request keeps only the
@@ -345,8 +340,13 @@ class ExperimentSpec:
     #: ``run_all_experiments`` skip group (``switching``, ``ablation``,
     #: ``faults``) or ``None`` for the always-on core experiments.
     run_all_group: Optional[str] = None
-    #: Names of the legacy ``run_*`` entry points this spec subsumes.
-    legacy_entry_points: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.schema is None:
+            raise ExperimentError(
+                f"experiment {self.name!r} declares no MetricSchema; every "
+                "spec needs one (its result is a ResultFrame)"
+            )
 
     # ------------------------------------------------------------------ #
     # Request resolution and execution
@@ -385,8 +385,7 @@ class ExperimentSpec:
         Either pass a pre-resolved ``request`` or let ``settings`` and
         keyword options be resolved via :meth:`request`.  The returned
         :class:`SpecRun` exposes the raw ``{job: metrics}`` mapping as well
-        as the assembled :meth:`~SpecRun.frame` -- the legacy wrappers use
-        it to build their dataclass views without re-running anything.
+        as the assembled :meth:`~SpecRun.frame`.
         """
         if request is None:
             request = self.request(settings, **options)
@@ -404,13 +403,9 @@ class ExperimentSpec:
         runner: Optional[ExperimentRunner] = None,
         request: Optional[SpecRequest] = None,
         **options: object,
-    ) -> object:
-        """Run this experiment and return its result.
-
-        Specs with a schema return the assembled :class:`ResultFrame`;
-        schema-less specs return whatever their ``assemble`` hook builds.
-        """
-        return self.execute(settings, runner=runner, request=request, **options).result()
+    ) -> ResultFrame:
+        """Run this experiment and return its assembled :class:`ResultFrame`."""
+        return self.execute(settings, runner=runner, request=request, **options).frame()
 
     # ------------------------------------------------------------------ #
     # Frame assembly (generic, schema-driven)
@@ -418,10 +413,6 @@ class ExperimentSpec:
 
     def metric_schema(self, request: SpecRequest) -> MetricSchema:
         """The resolved schema of one request."""
-        if self.schema is None:
-            raise ExperimentError(
-                f"experiment {self.name!r} declares no MetricSchema"
-            )
         return self.schema(request)
 
     def samples(
@@ -457,33 +448,17 @@ class ExperimentSpec:
         )
 
     # ------------------------------------------------------------------ #
-    # Uniform result rendering (generated from the schema)
+    # Uniform JSON document (tables and CSV come from the frame itself)
     # ------------------------------------------------------------------ #
 
-    def to_table(self, result: object) -> str:
-        """Every table of a result, joined the way the CLI prints them."""
-        if isinstance(result, ResultFrame):
-            return result.to_table()
-        return "\n\n".join(self.tables(result))
-
-    def to_json(self, result: object) -> Dict[str, object]:
-        """A JSON-safe record of a result (uniform across specs)."""
+    def to_json(self, frame: ResultFrame) -> Dict[str, object]:
+        """The spec's uniform JSON document around one of its frames."""
         return {
             "experiment": self.name,
             "title": self.title,
             "family": self.family,
-            "result": result.to_json()
-            if isinstance(result, ResultFrame)
-            else jsonify(result),
+            "result": frame.to_json(),
         }
-
-    def to_csv(self, result: object) -> str:
-        """CSV export generated from the schema (frames only)."""
-        if not isinstance(result, ResultFrame):
-            raise ExperimentError(
-                f"experiment {self.name!r} produced no frame to export as CSV"
-            )
-        return result.to_csv()
 
 
 @dataclass
@@ -513,12 +488,6 @@ class SpecRun:
                 )
         return self._frame
 
-    def result(self) -> object:
-        """The spec's result: its frame, or the legacy ``assemble`` output."""
-        if self.spec.schema is not None:
-            return self.frame()
-        return self.spec.assemble(self.request, self.jobs, self.results)
-
 
 def _job_axis_value(job: ExperimentJob, axis: str) -> object:
     """Default mapping from a schema key axis to a job's coordinate.
@@ -538,7 +507,7 @@ def _job_axis_value(job: ExperimentJob, axis: str) -> object:
 
 
 def jsonify(value: object) -> object:
-    """Recursively convert any spec result into JSON-serializable values.
+    """Recursively convert grid values and options into JSON-serializable values.
 
     Dataclasses become field dicts (honouring a ``to_dict`` method when one
     exists), enums their names, mappings get string keys; anything else
@@ -646,7 +615,6 @@ register_experiment(
         grid=lambda request: _seed_grid(request, FIGURE5_CONFIGS),
         enumerate_jobs=lambda request: figure5_jobs(request.settings),
         schema=lambda request: _FIGURE5_SCHEMA,
-        legacy_entry_points=("run_dmr_overhead_experiment",),
     )
 )
 
@@ -696,7 +664,6 @@ register_experiment(
             request.settings, request.option("configurations", FIGURE6_CONFIGS)
         ),
         schema=lambda request: _FIGURE6_SCHEMA,
-        legacy_entry_points=("run_mixed_mode_experiment",),
     )
 )
 
@@ -731,7 +698,6 @@ register_experiment(
         ),
         enumerate_jobs=lambda request: pab_jobs(request.settings),
         schema=lambda request: _PAB_SCHEMA,
-        legacy_entry_points=("run_pab_latency_study",),
     )
 )
 
@@ -783,7 +749,6 @@ register_experiment(
         schema=lambda request: _TABLE1_SCHEMA,
         multi_seed=False,
         run_all_group="switching",
-        legacy_entry_points=("run_switch_overhead_experiment",),
     )
 )
 
@@ -837,7 +802,6 @@ register_experiment(
         schema=lambda request: _TABLE2_SCHEMA,
         multi_seed=False,
         run_all_group="switching",
-        legacy_entry_points=("run_switch_frequency_experiment",),
     )
 )
 
@@ -912,7 +876,6 @@ register_experiment(
         cell_samples=_single_os_samples,
         multi_seed=False,
         run_all_group="switching",
-        legacy_entry_points=("run_single_os_overhead_study",),
     )
 )
 
@@ -953,7 +916,6 @@ register_experiment(
         multi_seed=False,
         workload_limit=2,
         run_all_group="ablation",
-        legacy_entry_points=("run_window_ablation",),
     )
 )
 
@@ -1020,7 +982,6 @@ register_experiment(
             ),
         ),
         workload_limit=2,
-        legacy_entry_points=("run_degradation_experiment",),
     )
 )
 
@@ -1096,7 +1057,6 @@ register_experiment(
             ),
         ),
         workload_limit=2,
-        legacy_entry_points=("run_consolidation_churn_experiment",),
     )
 )
 
@@ -1179,7 +1139,10 @@ def _faults_schema(request: SpecRequest) -> MetricSchema:
     else:
         views = (
             FrameView(
-                title=FAULT_COVERAGE_TITLE,
+                title=(
+                    "Fault-injection coverage "
+                    "(fraction of faults from which reliable state was protected)"
+                ),
                 metrics=("trials", "coverage", "silent_corruption_rate"),
             ),
         )
@@ -1260,10 +1223,6 @@ register_experiment(
         ),
         takes_workloads=False,
         run_all_group="faults",
-        legacy_entry_points=(
-            "run_fault_coverage_experiment",
-            "run_fault_rate_sweep",
-        ),
     )
 )
 
@@ -1304,8 +1263,14 @@ def _fleet_settings(request: SpecRequest) -> ExperimentSettings:
     if machines is not None:
         overrides["fleet_machines"] = int(machines)
     racks = request.option("racks")
-    if racks is not None:
-        overrides["fleet_racks"] = min(int(racks), int(machines or request.settings.fleet_machines))
+    if racks is not None or machines is not None:
+        # A fleet never has more racks than machines: clamp the explicit
+        # rack count, or the settings' default when only --machines shrank
+        # the fleet (a one-machine fleet gets one rack).
+        racks = request.settings.fleet_racks if racks is None else racks
+        overrides["fleet_racks"] = min(
+            int(racks), int(machines or request.settings.fleet_machines)
+        )
     settings = request.settings
     return dataclasses.replace(settings, **overrides) if overrides else settings
 

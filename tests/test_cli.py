@@ -275,6 +275,47 @@ def test_faults_rate_sweep_and_extra_configurations(capsys):
     assert "rate 0.5" in out and "rate 1" in out
 
 
+def test_fleet_with_one_machine_clamps_the_default_racks(capsys):
+    assert main(["fleet", "--quick", "--machines", "1", "--no-cache"]) == 0
+    assert "1 machines / 1 racks" in capsys.readouterr().out
+
+
+def test_fleet_with_one_machine_one_rack_and_scenarios(capsys):
+    argv = [
+        "fleet", "--quick", "--machines", "1", "--racks", "1",
+        "--scenarios", "diurnal", "--no-cache",
+    ]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "1 machines / 1 racks" in out
+    assert "diurnal" in out
+
+
+def test_out_of_range_option_exits_2_without_a_traceback(capsys):
+    argv = ["degradation", "--quick", "--failures", "0,99", "--no-cache"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "cannot run degradation: cannot fail 99 of 16 cores" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_fuzz_enumeration_error_exits_2(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from repro.errors import ExperimentError
+    from repro.sim.specs import EXPERIMENTS
+
+    def refuse(request):
+        raise ExperimentError("no cases for this request")
+
+    monkeypatch.setitem(
+        EXPERIMENTS, "fuzz", replace(EXPERIMENTS["fuzz"], enumerate_jobs=refuse)
+    )
+    assert main(["fuzz", "--quick", "--no-cache"]) == 2
+    assert "cannot run fuzz: no cases for this request" in capsys.readouterr().err
+
+
 def test_rejects_unknown_workload():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["figure5", "--workloads", "speccpu"])

@@ -1,29 +1,34 @@
-"""Smoke tests for the per-figure experiment entry points.
+"""Smoke tests for the paper experiments, run through their specs.
 
 These use :meth:`ExperimentSettings.quick` (a heavily scaled machine and two
 workloads) so they exercise the full experiment plumbing -- machine
-construction, simulation, aggregation, formatting -- in a few seconds.  The
-full-scale reproduction numbers are regenerated by the benchmark harness
-(see ``README.md``).
+construction, simulation, frame assembly, table rendering -- in a few
+seconds.  The full-scale reproduction numbers are regenerated by the
+benchmark harness (see ``README.md``).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.metrics import percent_change
 from repro.errors import ExperimentError
 from repro.sim.experiments import (
     FIGURE5_CONFIGS,
     FIGURE6_CONFIGS,
     ExperimentSettings,
-    run_dmr_overhead_experiment,
-    run_mixed_mode_experiment,
-    run_pab_latency_study,
-    run_single_os_overhead_study,
-    run_switch_frequency_experiment,
-    run_switch_overhead_experiment,
-    run_window_ablation,
 )
+from repro.sim.specs import EXPERIMENTS
+
+
+def run(name: str, settings: ExperimentSettings, **options):
+    """One spec's frame (workloads as given, never the spec's limit)."""
+    return EXPERIMENTS[name].run(settings, explicit_workloads=True, **options)
+
+
+def measurement_settings(workloads) -> ExperimentSettings:
+    """Table 1/2 run seed 0 of the default settings on these workloads."""
+    return ExperimentSettings().with_workloads(workloads).with_seeds((0,))
 
 
 @pytest.fixture(scope="module")
@@ -48,118 +53,147 @@ class TestSettings:
 
 class TestFigure5(object):
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_dmr_overhead_experiment(ExperimentSettings.quick())
+    def frame(self):
+        return run("figure5", ExperimentSettings.quick())
 
-    def test_rows_and_configs(self, result):
-        assert [row.workload for row in result.rows] == list(result.settings.workloads)
-        for row in result.rows:
-            assert set(row.per_thread_ipc) == set(FIGURE5_CONFIGS)
-            assert set(row.throughput) == set(FIGURE5_CONFIGS)
+    def test_rows_and_configs(self, frame):
+        assert frame.axis_values("workload") == ExperimentSettings.quick().workloads
+        for workload in frame.axis_values("workload"):
+            configurations = {
+                row["configuration"] for row in frame.select(workload=workload)
+            }
+            assert configurations == set(FIGURE5_CONFIGS)
 
-    def test_reunion_loses_ipc_and_throughput(self, result):
-        for row in result.rows:
-            normalized_ipc = row.normalized_ipc()
-            normalized_tput = row.normalized_throughput()
+    def test_reunion_loses_ipc_and_throughput(self, frame):
+        for workload in frame.axis_values("workload"):
+            normalized_ipc = frame.normalized(
+                "user_ipc", "configuration", "no-dmr-2x", workload=workload
+            )
+            normalized_tput = frame.normalized(
+                "throughput", "configuration", "no-dmr-2x", workload=workload
+            )
             assert normalized_ipc["reunion"] < 1.0
             assert normalized_tput["reunion"] < normalized_tput["no-dmr-2x"]
             assert normalized_tput["no-dmr"] < 1.0
 
-    def test_formatting(self, result):
-        assert "Figure 5(a)" in result.format_ipc_table()
-        assert "Figure 5(b)" in result.format_throughput_table()
+    def test_formatting(self, frame):
+        rendered = frame.to_table()
+        assert "Figure 5(a)" in rendered
+        assert "Figure 5(b)" in rendered
         with pytest.raises(ExperimentError):
-            result.row("unknown")
+            frame.value("user_ipc", workload="unknown", configuration="reunion")
 
 
 class TestFigure6:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_mixed_mode_experiment(ExperimentSettings.quick())
+    def frame(self):
+        return run("figure6", ExperimentSettings.quick())
 
-    def test_mixed_mode_improves_the_performance_vm(self, result):
-        for row in result.rows:
-            performance = row.normalized_performance_ipc()
+    @staticmethod
+    def normalized(frame, metric, workload):
+        return frame.normalized(metric, "configuration", "dmr-base", workload=workload)
+
+    def test_mixed_mode_improves_the_performance_vm(self, frame):
+        for workload in frame.axis_values("workload"):
+            performance = self.normalized(frame, "performance_ipc", workload)
             assert performance["mmm-ipc"] > 1.0
-            throughput = row.normalized_performance_throughput()
+            throughput = self.normalized(frame, "performance_throughput", workload)
             assert throughput["mmm-tp"] > 1.0
-            overall = row.normalized_overall_throughput()
+            overall = self.normalized(frame, "overall_throughput", workload)
             assert overall["mmm-tp"] > 1.0
 
-    def test_reliable_vm_is_not_devastated(self, result):
-        for row in result.rows:
-            reliable = row.normalized_reliable_ipc()
+    def test_reliable_vm_is_not_devastated(self, frame):
+        for workload in frame.axis_values("workload"):
+            reliable = self.normalized(frame, "reliable_ipc", workload)
             assert reliable["mmm-ipc"] > 0.7
             assert reliable["mmm-tp"] > 0.7
 
-    def test_formatting_and_lookup(self, result):
-        assert "Figure 6(a)" in result.format_ipc_table()
-        assert "Figure 6(b)" in result.format_throughput_table()
-        assert set(result.row(result.settings.workloads[0]).overall_throughput) == set(
-            FIGURE6_CONFIGS
-        )
+    def test_formatting_and_lookup(self, frame):
+        rendered = frame.to_table()
+        assert "Figure 6(a)" in rendered
+        assert "Figure 6(b)" in rendered
+        workload = ExperimentSettings.quick().workloads[0]
+        assert set(
+            self.normalized(frame, "overall_throughput", workload)
+        ) == set(FIGURE6_CONFIGS)
 
 
 class TestSwitchOverheads:
     @pytest.fixture(scope="class")
-    def result(self):
+    def frame(self):
         # The full-size (paper) configuration is the point of Table 1.
-        return run_switch_overhead_experiment(
-            workloads=("apache",), transitions_to_measure=3, warmup_cycles=3_000
+        return run(
+            "table1", measurement_settings(("apache",)),
+            transitions_to_measure=3, warmup_cycles=3_000,
         )
 
-    def test_leave_is_much_more_expensive_than_enter(self, result):
-        row = result.row("apache")
-        assert row.leave_dmr_cycles > row.enter_dmr_cycles
+    def test_leave_is_much_more_expensive_than_enter(self, frame):
+        enter = frame.value("enter_dmr_cycles", workload="apache")
+        leave = frame.value("leave_dmr_cycles", workload="apache")
+        assert leave > enter
         # Dominated by the 8192-line L2 flush.
-        assert row.leave_dmr_cycles > 8_192
+        assert leave > 8_192
 
-    def test_enter_is_a_couple_of_thousand_cycles(self, result):
-        row = result.row("apache")
-        assert 1_000 <= row.enter_dmr_cycles <= 6_000
+    def test_enter_is_a_couple_of_thousand_cycles(self, frame):
+        assert 1_000 <= frame.value("enter_dmr_cycles", workload="apache") <= 6_000
 
-    def test_round_trip_and_formatting(self, result):
-        assert result.average_round_trip_cycles() > 0
-        assert "Table 1" in result.format_table()
+    def test_round_trip_and_formatting(self, frame):
+        round_trip = frame.value("enter_dmr_cycles", workload="apache") + frame.value(
+            "leave_dmr_cycles", workload="apache"
+        )
+        assert round_trip > 0
+        assert "Table 1" in frame.to_table()
 
 
 class TestSwitchFrequencyAndSingleOs:
+    WORKLOADS = ("apache", "pgbench")
+    #: Measurement knobs for Table 1 (transitions) and Table 2 (phases).
+    OPTIONS = dict(
+        transitions_to_measure=2, warmup_cycles=2_000,
+        phases_to_measure=1, measurement_phase_scale=0.02,
+    )
+
     @pytest.fixture(scope="class")
     def frequency(self):
-        return run_switch_frequency_experiment(
-            workloads=("apache", "pgbench"), phases_to_measure=1,
-            measurement_phase_scale=0.02,
-        )
+        return run("table2", measurement_settings(self.WORKLOADS), **self.OPTIONS)
 
     def test_pgbench_has_much_longer_user_phases_than_apache(self, frequency):
-        assert frequency.row("pgbench").user_cycles > 2 * frequency.row("apache").user_cycles
+        assert frequency.value("user_cycles", workload="pgbench") > 2 * frequency.value(
+            "user_cycles", workload="apache"
+        )
 
     def test_single_os_overhead_is_small_and_apache_is_worst(self, frequency):
-        overheads = run_switch_overhead_experiment(
-            workloads=("apache", "pgbench"), transitions_to_measure=2, warmup_cycles=2_000
-        )
-        study = run_single_os_overhead_study(overheads, frequency, ("apache", "pgbench"))
-        by_name = {row.workload: row for row in study.rows}
-        assert by_name["apache"].overhead_percent < 25.0
-        assert by_name["apache"].overhead_percent > by_name["pgbench"].overhead_percent
-        assert "overhead" in study.format_table()
+        study = run("single-os", measurement_settings(self.WORKLOADS), **self.OPTIONS)
+        overhead = {
+            w: study.value("overhead_percent", workload=w) for w in self.WORKLOADS
+        }
+        assert overhead["apache"] < 25.0
+        assert overhead["apache"] > overhead["pgbench"]
+        assert "overhead" in study.to_table()
 
 
 class TestPabLatencyStudy:
     def test_serial_lookup_slows_only_the_performance_vm(self):
         settings = ExperimentSettings.quick().with_workloads(("apache",))
-        result = run_pab_latency_study(settings)
-        (row,) = result.rows
-        assert row.serial_ipc <= row.parallel_ipc
-        assert abs(row.reliable_ipc_change_percent) < 8.0
-        assert "serial" in result.format_table().lower()
+        frame = run("pab", settings)
+
+        def ipc(metric, lookup):
+            return frame.value(metric, workload="apache", lookup=lookup)
+
+        assert ipc("performance_ipc", "serial") <= ipc("performance_ipc", "parallel")
+        reliable_change = percent_change(
+            ipc("reliable_ipc", "serial"), ipc("reliable_ipc", "parallel")
+        )
+        assert abs(reliable_change) < 8.0
+        assert "serial" in frame.to_table().lower()
 
 
 class TestWindowAblation:
     def test_bigger_window_and_store_buffer_recover_ipc(self):
         settings = ExperimentSettings.quick().with_workloads(("apache",))
-        result = run_window_ablation(settings)
-        (row,) = result.rows
-        normalized = row.normalized()
+        frame = run("ablation", settings)
+        normalized = frame.normalized(
+            "user_ipc", "variant", "window128-sc", workload="apache"
+        )
         assert normalized["window256-tso"] > normalized["window128-sc"]
-        assert "window256-tso" in result.format_table()
+        assert "window256-tso" in frame.to_table()

@@ -30,6 +30,7 @@ from repro.faults.campaign import (
     trial_rng,
 )
 from repro.faults.cells import (
+    assemble_campaign_reports,
     assemble_coverage_reports,
     assemble_seed_coverage_reports,
     execute_fault_cell,
@@ -37,11 +38,9 @@ from repro.faults.cells import (
 )
 from repro.faults.models import FaultSite, FaultSpec
 from repro.faults.outcomes import CoverageReport, FaultOutcome, TrialRecord
-from repro.sim.experiments import (
-    run_fault_coverage_experiment,
-    run_fault_rate_sweep,
-)
 from repro.sim.runner import ExperimentRunner
+from repro.sim.settings import ExperimentSettings
+from repro.sim.specs import EXPERIMENTS
 
 
 def small_jobs(**overrides):
@@ -197,36 +196,43 @@ class TestFaultSpace:
             campaign.run_trial(DEFAULT_CONFIGURATIONS[0], "bogus-site", 0)
 
     def test_pab_with_dmr_keeps_full_coverage(self):
-        result = run_fault_coverage_experiment(
-            trials_per_site=10, configurations=(PAB_WITH_DMR,), seeds=(0,),
-            runner=fresh_runner(),
+        run = EXPERIMENTS["faults"].execute(
+            ExperimentSettings().with_seeds((0,)), runner=fresh_runner(),
+            trials=10, configurations=(PAB_WITH_DMR,),
         )
-        row = result.row("dmr-plus-pab")
-        assert row.coverage == 1.0
-        assert row.report.count(FaultOutcome.DETECTED_DMR) > 0
+        assert run.frame().mean_of("coverage", configuration="dmr-plus-pab") == 1.0
+        reports, _ = assemble_campaign_reports(run.jobs, run.results)
+        assert reports["dmr-plus-pab"].count(FaultOutcome.DETECTED_DMR) > 0
 
     def test_fault_rate_scales_silent_corruption(self):
-        sweep = run_fault_rate_sweep(
-            fault_rates=(0.1, 1.0), trials_per_site=20,
-            configurations=SWEEP_CONFIGURATIONS, seeds=(0, 1),
-            runner=fresh_runner(),
+        sweep = EXPERIMENTS["faults"].run(
+            ExperimentSettings().with_seeds((0, 1)), runner=fresh_runner(),
+            trials=20, configurations=SWEEP_CONFIGURATIONS, sweep_rates=(0.1, 1.0),
         )
-        naive_low = sweep.by_rate[0.1].row("naive-mode-switch")
-        naive_full = sweep.by_rate[1.0].row("naive-mode-switch")
-        assert naive_low.silent_corruption_rate < naive_full.silent_corruption_rate
+
+        def cell(metric, rate, configuration):
+            return sweep.mean_of(metric, rate=rate, configuration=configuration)
+
+        assert cell("silent_corruption_rate", 0.1, "naive-mode-switch") < cell(
+            "silent_corruption_rate", 1.0, "naive-mode-switch"
+        )
         # Rate-masked trials never break the protected designs.
         for rate in (0.1, 1.0):
-            assert sweep.by_rate[rate].row("mmm").coverage == 1.0
-            assert sweep.by_rate[rate].row("dmr-plus-pab").coverage == 1.0
+            assert cell("coverage", rate, "mmm") == 1.0
+            assert cell("coverage", rate, "dmr-plus-pab") == 1.0
 
     def test_multi_seed_reports_and_intervals(self):
-        result = run_fault_coverage_experiment(
-            trials_per_site=8, seeds=(0, 1, 2), runner=fresh_runner()
+        run = EXPERIMENTS["faults"].execute(
+            ExperimentSettings().with_seeds((0, 1, 2)), runner=fresh_runner(), trials=8
         )
-        for row in result.rows:
-            assert row.report.total == 8 * len(TRIAL_SITES) * 3
-            assert set(row.coverage_by_seed) == {0, 1, 2}
-            assert row.coverage_interval.count == 3
+        frame = run.frame()
+        _, per_seed = assemble_campaign_reports(run.jobs, run.results)
+        for configuration in frame.axis_values("configuration"):
+            assert frame.value("trials", configuration=configuration) == (
+                8 * len(TRIAL_SITES) * 3
+            )
+            assert {seed for name, seed in per_seed if name == configuration} == {0, 1, 2}
+            assert frame.value("coverage", configuration=configuration).count == 3
 
     def test_inline_campaign_matches_engine_cells(self):
         # The legacy inline driver and the cell-shaped path are two views of

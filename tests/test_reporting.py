@@ -1,41 +1,26 @@
-"""Tests for the combined text reporting module."""
+"""Tests for the combined plain-text report (``repro report``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faults.campaign import FaultInjectionCampaign
-from repro.config.presets import paper_system_config
-from repro.sim.experiments import ExperimentSettings
-from repro.sim.reporting import fault_coverage_report, format_coverage_reports, full_report
-
-
-def test_format_coverage_reports_lists_every_configuration():
-    campaign = FaultInjectionCampaign(config=paper_system_config(), seed=1)
-    rendered = format_coverage_reports(campaign.run(trials_per_site=5))
-    assert "always-dmr" in rendered
-    assert "mmm" in rendered
-    assert "naive-mode-switch" in rendered
-    assert "coverage" in rendered
-
-
-def test_fault_coverage_report_convenience_wrapper():
-    rendered = fault_coverage_report(trials_per_site=5, seed=2)
-    assert "Fault-injection coverage" in rendered
+from repro.sim.experiments import ExperimentSettings, run_all_experiments
 
 
 @pytest.mark.slow
 def test_full_report_quick_contains_every_section():
     settings = ExperimentSettings.quick()
-    report = full_report(
+    report = run_all_experiments(
         settings,
         include_switching=False,
         include_ablation=False,
         include_faults=True,
-    )
+    ).render()
     assert "Figure 5(a)" in report
     assert "Figure 5(b)" in report
     assert "Figure 6(a)" in report
     assert "Figure 6(b)" in report
     assert "serial PAB" in report or "PAB" in report
     assert "Fault-injection coverage" in report
+    for configuration in ("always-dmr", "mmm", "naive-mode-switch"):
+        assert configuration in report

@@ -29,13 +29,6 @@ from repro.sim.experiments import (
     figure6_jobs,
     pab_jobs,
     run_all_experiments,
-    run_dmr_overhead_experiment,
-    run_mixed_mode_experiment,
-    run_pab_latency_study,
-    run_single_os_overhead_study,
-    run_switch_frequency_experiment,
-    run_switch_overhead_experiment,
-    run_window_ablation,
     switch_overhead_jobs,
     window_ablation_jobs,
 )
@@ -58,6 +51,7 @@ from repro.sim.runner import (
     set_default_runner,
     using_runner,
 )
+from repro.sim.specs import EXPERIMENTS
 from repro.sim.store import ResultCache, _frame_record
 
 QUICK = ExperimentSettings.quick().with_workloads(("apache",))
@@ -501,52 +495,40 @@ class TestDeterminism:
 
 @pytest.mark.slow
 class TestEntryPointReproducibility:
-    """Repeated runs of each run_* entry point return equal results -- the
-    contract the cache key relies on."""
+    """Repeated runs of each spec return equal frames -- the contract the
+    cache key relies on."""
 
-    def fresh(self) -> ExperimentRunner:
-        return ExperimentRunner(jobs=1, use_cache=False)
+    def rows(self, name: str, **options):
+        runner = ExperimentRunner(jobs=1, use_cache=False)
+        return EXPERIMENTS[name].run(QUICK, runner=runner, **options).rows
 
     def test_figure5(self):
-        first = run_dmr_overhead_experiment(QUICK, runner=self.fresh())
-        second = run_dmr_overhead_experiment(QUICK, runner=self.fresh())
-        assert first.rows == second.rows
+        assert self.rows("figure5") == self.rows("figure5")
 
     def test_figure6(self):
         configurations = ("dmr-base", "mmm-tp")
-        first = run_mixed_mode_experiment(QUICK, configurations, runner=self.fresh())
-        second = run_mixed_mode_experiment(QUICK, configurations, runner=self.fresh())
-        assert first.rows == second.rows
+        assert self.rows("figure6", configurations=configurations) == self.rows(
+            "figure6", configurations=configurations
+        )
 
     def test_pab(self):
-        first = run_pab_latency_study(QUICK, runner=self.fresh())
-        second = run_pab_latency_study(QUICK, runner=self.fresh())
-        assert first.rows == second.rows
+        assert self.rows("pab") == self.rows("pab")
 
     def test_ablation(self):
-        first = run_window_ablation(QUICK, runner=self.fresh())
-        second = run_window_ablation(QUICK, runner=self.fresh())
-        assert first.rows == second.rows
+        assert self.rows("ablation") == self.rows("ablation")
 
     def test_tables_and_single_os(self):
+        # The quick settings measure 2 transitions after a 2k-cycle warm-up
+        # and 1 phase at phase scale 0.02.
         def tables(runner):
-            table1 = run_switch_overhead_experiment(
-                ("apache",), transitions_to_measure=2, warmup_cycles=2_000,
-                runner=runner,
-            )
-            table2 = run_switch_frequency_experiment(
-                ("apache",), phases_to_measure=1, measurement_phase_scale=0.02,
-                runner=runner,
-            )
-            return table1, table2
+            return [
+                EXPERIMENTS[name].run(QUICK, runner=runner).rows
+                for name in ("table1", "table2", "single-os")
+            ]
 
-        first1, first2 = tables(self.fresh())
-        second1, second2 = tables(self.fresh())
-        assert first1.rows == second1.rows
-        assert first2.rows == second2.rows
-        study_a = run_single_os_overhead_study(first1, first2, ("apache",))
-        study_b = run_single_os_overhead_study(second1, second2, ("apache",))
-        assert study_a.rows == study_b.rows
+        first = tables(ExperimentRunner(jobs=1, use_cache=False))
+        second = tables(ExperimentRunner(jobs=1, use_cache=False))
+        assert first == second
 
 
 @pytest.mark.slow
@@ -578,7 +560,7 @@ class TestRunAllParity:
 
         # Re-running against the serial runner's cache simulates nothing --
         # including the fault-campaign cells, which ride the same batch.
-        assert one.faults is not None and one.faults.rows
+        assert one.frame("faults").rows
         warm = ExperimentRunner(jobs=4, cache_dir=tmp_path / "serial")
         again = run_all_experiments(settings, runner=warm)
         assert warm.stats.executed == 0
@@ -594,9 +576,9 @@ class TestRunAllParity:
                        "PAB", "Table 1", "Table 2", "Single-OS", "window size",
                        "Fault-injection coverage"):
             assert marker in report
-        assert result.single_os is not None and result.ablation is not None
-        assert result.faults is not None
-        assert result.faults.value("coverage", configuration="always-dmr").mean == 1.0
+        assert "single-os" in result.frames and "ablation" in result.frames
+        faults = result.frame("faults")
+        assert faults.value("coverage", configuration="always-dmr").mean == 1.0
 
 
 class TestAdaptiveChunking:

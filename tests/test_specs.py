@@ -2,17 +2,16 @@
 
 Four contracts:
 
-* **registry completeness** -- every legacy ``run_*`` entry point is
-  subsumed by a registered spec, and the registry drives both
-  ``run_all_experiments`` and the CLI;
-* **parity** -- running an experiment through its spec produces the same
-  result as the legacy wrapper (they share enumerators and assemblers);
+* **registry completeness** -- every paper experiment is a registered spec
+  with a schema, and the registry drives both ``run_all_experiments`` and
+  the CLI;
+* **request resolution** -- workload limits, single-seed measurements and
+  options resolve the same way for every caller;
 * **backend determinism** -- ``serial``, ``process`` and ``thread``
   backends produce byte-identical results for one spec of each family
   (simulation, measurement, faults);
-* **uniform rendering** -- ``to_table``/``to_json`` are generated from the
-  spec's ``MetricSchema`` and stay consistent with the legacy dataclass
-  views (full numeric parity lives in ``tests/test_frames.py``).
+* **uniform rendering** -- a spec's frame renders its tables and JSON
+  document from the spec's ``MetricSchema``.
 """
 
 from __future__ import annotations
@@ -22,13 +21,9 @@ import json
 import pytest
 
 from repro.errors import ExperimentError
-from repro.sim.experiments import (
-    ExperimentSettings,
-    run_dmr_overhead_experiment,
-    run_fault_coverage_experiment,
-    run_single_os_overhead_study,
-    run_window_ablation,
-)
+from repro.sim.experiments import ExperimentSettings, run_all_experiments
+from repro.sim.frames import MetricColumn, MetricSchema
+from repro.sim.jobs import ExperimentJob
 from repro.sim.runner import ExperimentRunner
 from repro.sim.specs import (
     EXPERIMENTS,
@@ -42,19 +37,6 @@ from repro.sim.specs import (
 )
 
 QUICK = ExperimentSettings.quick().with_workloads(("apache",))
-
-#: Every legacy entry point and the spec that subsumes it.
-LEGACY_ENTRY_POINTS = {
-    "run_dmr_overhead_experiment": "figure5",
-    "run_mixed_mode_experiment": "figure6",
-    "run_pab_latency_study": "pab",
-    "run_switch_overhead_experiment": "table1",
-    "run_switch_frequency_experiment": "table2",
-    "run_single_os_overhead_study": "single-os",
-    "run_window_ablation": "ablation",
-    "run_fault_coverage_experiment": "faults",
-    "run_fault_rate_sweep": "faults",
-}
 
 
 def fresh(jobs: int = 1, backend=None) -> ExperimentRunner:
@@ -84,11 +66,6 @@ class TestParameterGrid:
 
 
 class TestRegistry:
-    def test_every_legacy_entry_point_has_a_spec(self):
-        for entry_point, name in LEGACY_ENTRY_POINTS.items():
-            assert name in EXPERIMENTS, entry_point
-            assert entry_point in EXPERIMENTS[name].legacy_entry_points
-
     def test_registry_covers_exactly_the_paper_experiments(self):
         assert set(experiment_names()) >= {
             "figure5", "figure6", "pab", "table1", "table2", "single-os",
@@ -138,73 +115,6 @@ class TestRequestResolution:
         assert SpecRequest(settings=QUICK, options={"x": None}).option("x", 1) == 1
 
 
-class TestSpecRunsMatchLegacyWrappers:
-    """Specs return frames; the legacy wrappers return dataclass views.
-
-    Full numeric spec-vs-wrapper parity for every family lives in
-    ``tests/test_frames.py``; these tests pin the contract itself."""
-
-    def test_figure5_frame_matches_wrapper_rows(self):
-        frame = EXPERIMENTS["figure5"].run(QUICK, runner=fresh())
-        legacy = run_dmr_overhead_experiment(QUICK, runner=fresh())
-        for row in legacy.rows:
-            for configuration, interval in row.per_thread_ipc.items():
-                assert interval == frame.value(
-                    "user_ipc", workload=row.workload, configuration=configuration
-                )
-
-    def test_ablation_default_restriction(self):
-        # Legacy default restricted the ablation to two workloads; the
-        # spec's workload_limit keeps that behaviour.
-        frame = EXPERIMENTS["ablation"].run(QUICK, runner=fresh())
-        legacy = run_window_ablation(QUICK, runner=fresh())
-        assert tuple(row.workload for row in legacy.rows) == frame.axis_values(
-            "workload"
-        )
-        for row in legacy.rows:
-            for variant, ipc in row.ipc_by_variant.items():
-                assert ipc == frame.value(
-                    "user_ipc", workload=row.workload, variant=variant
-                )
-
-    def test_single_os_spec_equals_composed_study(self):
-        frame = EXPERIMENTS["single-os"].run(
-            QUICK,
-            runner=fresh(),
-            transitions_to_measure=2,
-            warmup_cycles=2_000,
-            phases_to_measure=1,
-            measurement_phase_scale=0.02,
-        )
-        legacy = run_single_os_overhead_study(workloads=("apache",), runner=fresh())
-        # Different measurement knobs => different numbers; same workloads
-        # and shape, and both positive overheads.
-        assert frame.axis_values("workload") == tuple(
-            row.workload for row in legacy.rows
-        )
-        for row in frame.rows:
-            assert row["switch_cycles"] > 0
-            assert 0 < row["overhead_percent"] < 100
-
-    def test_faults(self):
-        frame = EXPERIMENTS["faults"].run(
-            ExperimentSettings().with_seeds((0, 1)), runner=fresh(), trials=4
-        )
-        via_wrapper = run_fault_coverage_experiment(
-            trials_per_site=4, seeds=(0, 1), runner=fresh()
-        )
-        assert frame.axis_values("configuration") == tuple(
-            row.configuration for row in via_wrapper.rows
-        )
-        for row in via_wrapper.rows:
-            cell = frame.value("coverage", configuration=row.configuration)
-            assert cell.mean == pytest.approx(row.coverage)
-            assert cell == row.coverage_interval
-            assert frame.value("trials", configuration=row.configuration) == (
-                row.report.total
-            )
-
-
 @pytest.mark.slow
 class TestBackendDeterminism:
     """serial == process == thread, byte for byte, one spec per family."""
@@ -235,14 +145,15 @@ class TestBackendDeterminism:
 class TestUniformRendering:
     def test_to_table_is_generated_from_the_schema_views(self):
         frame = EXPERIMENTS["figure5"].run(QUICK, runner=fresh())
-        rendered = EXPERIMENTS["figure5"].to_table(frame)
+        rendered = frame.to_table()
         # Both schema views render, in order, with the paper's titles.
         assert rendered.index("Figure 5(a)") < rendered.index("Figure 5(b)")
         assert "apache" in rendered
-        # The legacy dataclass view formats the same normalised numbers.
-        legacy = run_dmr_overhead_experiment(QUICK, runner=fresh())
-        normalized = legacy.rows[0].normalized_ipc()["reunion"]
-        assert f"{normalized:.3f}" in rendered
+        # The normalising view prints the frame's normalised ratios.
+        normalized = frame.normalized(
+            "user_ipc", "configuration", "no-dmr-2x", workload="apache"
+        )
+        assert f"{normalized['reunion']:.3f}" in rendered
 
     def test_to_json_is_serializable_and_tagged(self):
         spec = EXPERIMENTS["figure5"]
@@ -266,13 +177,11 @@ class TestUniformRendering:
 
 
 class TestCustomSpecIntegration:
-    def test_registered_spec_joins_run_all_extras(self, tmp_path):
-        from repro.sim.experiments import run_all_experiments
-        from repro.sim.jobs import ExperimentJob
-
-        spec = ExperimentSpec(
-            name="spec-test-extra",
-            title="test extra",
+    @staticmethod
+    def custom_spec(**overrides) -> ExperimentSpec:
+        fields = dict(
+            name="spec-test-custom",
+            title="test custom",
             grid=lambda request: ParameterGrid.of(("seed", request.settings.seeds)),
             enumerate_jobs=lambda request: [
                 ExperimentJob(
@@ -281,12 +190,16 @@ class TestCustomSpecIntegration:
                 )
                 for seed in request.settings.seeds
             ],
-            assemble=lambda request, jobs, results: sorted(
-                results[job]["user_ipc"] for job in jobs
+            schema=lambda request: MetricSchema(
+                keys=("workload",),
+                metrics=(MetricColumn("user_ipc", label="custom ipc"),),
             ),
-            tables=lambda result: [f"extra ipcs: {result}"],
         )
-        register_experiment(spec)
+        fields.update(overrides)
+        return ExperimentSpec(**fields)
+
+    def test_registered_spec_joins_run_all_frames(self, tmp_path):
+        register_experiment(self.custom_spec())
         try:
             everything = run_all_experiments(
                 QUICK,
@@ -295,7 +208,16 @@ class TestCustomSpecIntegration:
                 include_ablation=False,
                 include_faults=False,
             )
-            assert everything.extras["spec-test-extra"]
-            assert "extra ipcs:" in everything.render()
+            frame = everything.frame("spec-test-custom")
+            assert frame.mean_of("user_ipc", workload="apache") > 0
+            assert "custom ipc" in everything.render()
+            assert "spec-test-custom" in everything.to_document()["frames"]
         finally:
-            del EXPERIMENTS["spec-test-extra"]
+            del EXPERIMENTS["spec-test-custom"]
+
+    def test_spec_without_a_schema_is_rejected(self):
+        with pytest.raises(ExperimentError, match="MetricSchema"):
+            self.custom_spec(schema=None)
+        with pytest.raises(ExperimentError, match="MetricSchema"):
+            register_experiment(ExperimentSpec(name="spec-test-bare", title="bare"))
+        assert "spec-test-bare" not in EXPERIMENTS
