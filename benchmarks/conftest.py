@@ -22,7 +22,7 @@ print ``frame.to_table()``.
 The experiments run through the experiment engine of
 :mod:`repro.sim.runner`.  Set ``REPRO_BENCH_JOBS=N`` to fan the simulation
 cells out over N workers, ``REPRO_BENCH_BACKEND=<name>`` to pick the runner
-backend (``serial``, ``process``, ``thread``), ``REPRO_BENCH_SEEDS=N`` to
+backend (``serial``, ``process``, ``distributed``), ``REPRO_BENCH_SEEDS=N`` to
 widen the seed sweep (default: one seed, so timings stay comparable across
 runs), and ``REPRO_BENCH_CACHE=<dir>`` to reuse the on-disk result cache
 across harness runs (off by default: a cached cell costs no simulation

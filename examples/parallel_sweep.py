@@ -39,8 +39,8 @@ SETTINGS = replace(
 
 CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
 WORKERS = min(4, os.cpu_count() or 1)
-#: Runner backend for the cold sweep: "process" (default), "thread" or
-#: "serial" -- the same names `repro --backend` accepts.
+#: Runner backend for the cold sweep: "process" (default) or "serial" --
+#: names `repro --backend` accepts.
 BACKEND = os.environ.get("REPRO_SWEEP_BACKEND", "process")
 
 

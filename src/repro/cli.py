@@ -32,7 +32,7 @@ Three groups of subcommands:
 
 The experiment subcommands share the experiment-engine flags: ``--jobs N``
 fans the experiment cells out over N workers, ``--backend`` picks the
-execution backend (``serial``, ``process``, ``thread``), ``--seeds`` widens
+execution backend (``serial``, ``process``, ``distributed``), ``--seeds`` widens
 or narrows the seed sweep, and results are cached on disk (``.repro-cache``
 by default) so a re-run only executes changed cells; ``--no-cache`` forces
 fresh runs and ``--cache-dir`` relocates the cache.  ``--json`` renders the
@@ -46,7 +46,7 @@ Examples::
     python -m repro run --policy mmm-tp --reliable oltp --performance apache
     python -m repro figure6 --workloads apache oltp --jobs 4
     python -m repro faults --trials 200 --seeds 8 --jobs 4
-    python -m repro run-all --quick --jobs 4 --backend thread
+    python -m repro run-all --quick --jobs 4 --backend process
     python -m repro run-all --quick --json > baseline.json
     python -m repro diff baseline.json
     python -m repro export --format csv --experiments figure5
@@ -74,7 +74,7 @@ from repro.sim.frames import (
     frames_to_csv,
 )
 from repro.sim.jobs import registered_job_kinds
-from repro.sim.runner import ExperimentRunner, registered_backends
+from repro.sim.runner import BACKENDS, ExperimentRunner
 from repro.sim.specs import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -138,7 +138,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=registered_backends(),
+        choices=tuple(BACKENDS),
         default=None,
         help=(
             "execution backend for pending cells (default: serial for "

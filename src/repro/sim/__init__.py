@@ -8,7 +8,7 @@
   experiment: generated rendering, export and baseline diffing),
 * :mod:`repro.sim.settings` -- the shared experiment settings value,
 * :mod:`repro.sim.jobs` -- the picklable per-cell job model,
-* :mod:`repro.sim.runner` -- pluggable-backend job execution with caching,
+* :mod:`repro.sim.runner` -- backend job execution with caching,
 * :mod:`repro.sim.store` -- the packed on-disk result store,
 * :mod:`repro.sim.experiments` -- the cell enumerators the specs are built
   from, and ``run_all_experiments`` (every spec as one batch),
@@ -36,8 +36,6 @@ from repro.sim.runner import (
     RunnerStats,
     backend_by_name,
     default_runner,
-    register_runner_backend,
-    registered_backends,
     set_default_runner,
     using_runner,
 )
@@ -100,8 +98,6 @@ __all__ = [
     "RunnerBackend",
     "RunnerStats",
     "backend_by_name",
-    "register_runner_backend",
-    "registered_backends",
     "default_runner",
     "set_default_runner",
     "using_runner",

@@ -1,7 +1,7 @@
 """Distributed execution of experiment cells over plain HTTP.
 
-The package implements the ``distributed`` runner backend promised by the
-:func:`~repro.sim.runner.register_runner_backend` seam:
+The package implements the ``distributed`` entry of the runner's backend
+table (:data:`repro.sim.runner.BACKENDS`):
 
 * :mod:`repro.sim.distributed.coordinator` -- the in-memory job board and
   its stdlib :class:`http.server.ThreadingHTTPServer` front end.  Clients

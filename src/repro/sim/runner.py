@@ -1,26 +1,24 @@
 """Parallel experiment execution with an on-disk result cache.
 
 :class:`ExperimentRunner` executes batches of
-:class:`~repro.sim.jobs.ExperimentJob` cells through a pluggable
+:class:`~repro.sim.jobs.ExperimentJob` cells through a
 :class:`RunnerBackend`:
 
 * ``serial`` -- in the calling process, one cell at a time;
 * ``process`` -- fanned out over a
   :class:`concurrent.futures.ProcessPoolExecutor`;
-* ``thread`` -- fanned out over a
-  :class:`concurrent.futures.ThreadPoolExecutor` (cheap to spin up, no
-  pickling; the right choice for executors that release the GIL or for
-  smoke-testing the fan-out plumbing).
+* ``distributed`` -- leased to pull-based workers by a coordinator
+  (:mod:`repro.sim.distributed`).
 
-Backends are chosen by name (``ExperimentRunner(jobs=4, backend="thread")``,
-``--backend`` on the CLI) and live in a registry
-(:func:`register_runner_backend`), which is the seam for future back-ends --
-a distributed runner only has to map a list of pending cells to their
-metrics and plug itself in; the runner's caching, memoisation and stats stay
-unchanged.  Because every job is a plain-value description of its cell and
-every cell is seeded deterministically, all backends produce byte-identical
-results; the determinism tests in ``tests/test_runner.py`` and
-``tests/test_specs.py`` assert exactly that contract.
+Backends are chosen by name (``ExperimentRunner(jobs=4, backend="process")``,
+``--backend`` on the CLI) from the fixed :data:`BACKENDS` table.  Any other
+execution substrate is passed in as a :class:`RunnerBackend` instance
+(``ExperimentRunner(backend=MyBackend())``): it only has to map a list of
+pending cells to their metrics; the runner's caching, memoisation and stats
+stay unchanged.  Because every job is a plain-value description of its cell
+and every cell is seeded deterministically, all backends produce
+byte-identical results; the determinism tests in ``tests/test_runner.py``
+and ``tests/test_specs.py`` assert exactly that contract.
 
 Results are memoised twice:
 
@@ -48,7 +46,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -61,7 +59,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Type,
     Union,
 )
 
@@ -204,12 +201,12 @@ class RunnerBackend:
     the runner can record and cache it immediately (an interrupted sweep
     keeps everything that finished).  Pairs may arrive in any order.
 
-    Subclass and :func:`register_runner_backend` to plug in new execution
-    substrates -- a distributed backend that ships job descriptions to
-    remote workers implements exactly this one method.
+    Subclass and pass an instance as ``ExperimentRunner(backend=...)`` to
+    plug in a new execution substrate -- a backend that ships job
+    descriptions to remote workers implements exactly this one method.
     """
 
-    #: Registry name; also what ``--backend`` and ``RunnerStats`` report.
+    #: Backend name; also what ``--backend`` and the CLI summary report.
     name: str = "abstract"
 
     def execute(
@@ -236,30 +233,7 @@ class SerialBackend(RunnerBackend):
             yield job, executor(job)
 
 
-class _PoolBackend(RunnerBackend):
-    """Shared fan-out loop of the executor-pool backends."""
-
-    pool_type: Type[Executor]
-
-    def execute(
-        self,
-        executor: JobExecutor,
-        pending: Sequence[ExperimentJob],
-        workers: int,
-    ) -> Iterable[Tuple[ExperimentJob, Metrics]]:
-        if len(pending) == 1:
-            # Local execution is always valid for a pool backend, and one
-            # cell is not worth the pool spin-up.
-            yield pending[0], executor(pending[0])
-            return
-        workers = max(1, min(workers, len(pending)))
-        with self.pool_type(max_workers=workers) as pool:
-            futures = {pool.submit(executor, job): job for job in pending}
-            for future in as_completed(futures):
-                yield futures[future], future.result()
-
-
-class ProcessBackend(_PoolBackend):
+class ProcessBackend(RunnerBackend):
     """Fan cells out over worker processes (true CPU parallelism; jobs and
     metrics cross the process boundary by pickling).
 
@@ -271,7 +245,6 @@ class ProcessBackend(_PoolBackend):
     """
 
     name = "process"
-    pool_type = ProcessPoolExecutor
 
     def execute(
         self,
@@ -280,13 +253,13 @@ class ProcessBackend(_PoolBackend):
         workers: int,
     ) -> Iterable[Tuple[ExperimentJob, Metrics]]:
         if len(pending) == 1:
-            # Local execution is always valid for a pool backend, and one
-            # cell is not worth the pool spin-up.
+            # Local execution is always valid, and one cell is not worth
+            # the pool spin-up.
             yield pending[0], executor(pending[0])
             return
         workers = max(1, min(workers, len(pending)))
         chunks = list(adaptive_chunks(pending, workers))
-        with self.pool_type(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(_execute_job_chunk, executor, chunk): chunk
                 for chunk in chunks
@@ -297,43 +270,6 @@ class ProcessBackend(_PoolBackend):
                     yield job, metrics
 
 
-class ThreadBackend(_PoolBackend):
-    """Fan cells out over threads in this process (no pickling, instant
-    startup; concurrency is limited by the GIL for pure-Python executors)."""
-
-    name = "thread"
-    pool_type = ThreadPoolExecutor
-
-
-_BACKENDS: Dict[str, Callable[[], RunnerBackend]] = {}
-
-
-def register_runner_backend(
-    name: str, factory: Callable[[], RunnerBackend], *, replace: bool = False
-) -> None:
-    """Register a backend factory under ``name`` (the ``--backend`` value)."""
-    if name in _BACKENDS and not replace:
-        raise ExperimentError(f"runner backend {name!r} is already registered")
-    _BACKENDS[name] = factory
-
-
-def registered_backends() -> Tuple[str, ...]:
-    """The backend names a runner (and ``--backend``) can be built with."""
-    return tuple(sorted(_BACKENDS))
-
-
-def backend_by_name(name: str) -> RunnerBackend:
-    """Instantiate the registered backend called ``name``."""
-    try:
-        factory = _BACKENDS[name]
-    except KeyError:
-        known = ", ".join(registered_backends()) or "none"
-        raise ExperimentError(
-            f"unknown runner backend {name!r} (registered backends: {known})"
-        ) from None
-    return factory()
-
-
 def _distributed_backend_factory() -> RunnerBackend:
     # Imported lazily: the distributed package imports this module for the
     # chunker and cache, and most invocations never touch the backend.
@@ -342,10 +278,24 @@ def _distributed_backend_factory() -> RunnerBackend:
     return DistributedBackend(coordinator_from_env())
 
 
-register_runner_backend("serial", SerialBackend)
-register_runner_backend("process", ProcessBackend)
-register_runner_backend("thread", ThreadBackend)
-register_runner_backend("distributed", _distributed_backend_factory)
+#: The backends a runner (and ``--backend``) can be built with by name.
+BACKENDS: Dict[str, Callable[[], RunnerBackend]] = {
+    "serial": SerialBackend,
+    "process": ProcessBackend,
+    "distributed": _distributed_backend_factory,
+}
+
+
+def backend_by_name(name: str) -> RunnerBackend:
+    """Instantiate the backend called ``name``."""
+    try:
+        factory = BACKENDS[name]
+    except KeyError:
+        known = ", ".join(BACKENDS)
+        raise ExperimentError(
+            f"unknown runner backend {name!r} (backends: {known})"
+        ) from None
+    return factory()
 
 
 class ExperimentRunner:
@@ -428,11 +378,18 @@ class ExperimentRunner:
         # partially failed sweep keeps everything that finished (the
         # ``finally`` flushes the in-flight chunk), so the re-run only
         # executes the remaining cells.
+        #
+        # Every pending cell goes through the backend -- a custom backend
+        # (e.g. a remote-only distributed runner) must see single-cell
+        # batches too; the process backend skips the pool itself when one
+        # cell is not worth it.
         if pending:
             with self.stats.phase("execute"):
                 chunk: List[Tuple[ExperimentJob, Metrics]] = []
                 try:
-                    for job, metrics in self._execute(pending):
+                    for job, metrics in self.backend.execute(
+                        self._executor, pending, self.jobs
+                    ):
                         self._memo[job] = metrics
                         self.stats.executed += 1
                         if self.cache is not None:
@@ -451,17 +408,6 @@ class ExperimentRunner:
     def run_job(self, job: ExperimentJob) -> Metrics:
         """Execute (or recall) a single cell."""
         return self.run_jobs([job])[job]
-
-    def _execute(
-        self, pending: Sequence[ExperimentJob]
-    ) -> Iterable[Tuple[ExperimentJob, Metrics]]:
-        if not pending:
-            return
-        # Every pending cell goes through the backend -- a custom backend
-        # (e.g. a remote-only distributed runner) must see single-cell
-        # batches too; the built-in pool backends skip the pool themselves
-        # when one cell is not worth it.
-        yield from self.backend.execute(self._executor, pending, self.jobs)
 
 
 # ---------------------------------------------------------------------- #

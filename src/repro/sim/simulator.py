@@ -73,8 +73,8 @@ from repro.virt.vcpu import ReliabilityMode, VirtualCPU
 #: The last functional-warming checkpoint taken in this process, as ``(key,
 #: checkpoint)``.  One slot: runs that warm identically (a fleet's machines,
 #: one cell's seeds) tend to run back to back.  The slot is only ever
-#: replaced whole, and readers copy it into a local first, so concurrent
-#: runs on the thread backend each see one consistent pair.
+#: replaced whole, and the old checkpoint is dropped before the new one is
+#: packed, so two never coexist.
 _warm_checkpoint: Optional[Tuple[tuple, WarmCheckpoint]] = None
 
 

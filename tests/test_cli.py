@@ -41,10 +41,10 @@ def test_subcommands_are_generated_from_the_registry(capsys):
 
     parser = build_parser()
     for name, spec in EXPERIMENTS.items():
-        args = parser.parse_args([name, "--jobs", "2", "--backend", "thread",
+        args = parser.parse_args([name, "--jobs", "2", "--backend", "process",
                                   "--seeds", "1", "--no-cache"])
         assert args.command == name
-        assert args.jobs == 2 and args.backend == "thread"
+        assert args.jobs == 2 and args.backend == "process"
         for option in spec.options:
             assert hasattr(args, option.name)
 
@@ -157,18 +157,18 @@ def test_run_all_quick(capsys, tmp_path):
     assert "0 executed" in out
 
 
-def test_figure5_thread_backend_matches_serial(capsys, isolated_cache):
+def test_figure5_process_backend_matches_serial(capsys, isolated_cache):
     serial_argv = ["figure5", "--quick", "--workloads", "apache", "--no-cache"]
     assert main(serial_argv) == 0
     serial_out = capsys.readouterr().out
-    threaded_argv = serial_argv + ["--jobs", "2", "--backend", "thread"]
-    assert main(threaded_argv) == 0
-    threaded_out = capsys.readouterr().out
-    assert "backend: thread" in threaded_out
+    pooled_argv = serial_argv + ["--jobs", "2", "--backend", "process"]
+    assert main(pooled_argv) == 0
+    pooled_out = capsys.readouterr().out
+    assert "backend: process" in pooled_out
     # Identical tables, whatever the backend.
     assert (
         serial_out.split("experiment engine:")[0]
-        == threaded_out.split("experiment engine:")[0]
+        == pooled_out.split("experiment engine:")[0]
     )
 
 

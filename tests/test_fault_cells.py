@@ -31,8 +31,6 @@ from repro.faults.campaign import (
 )
 from repro.faults.cells import (
     assemble_campaign_reports,
-    assemble_coverage_reports,
-    assemble_seed_coverage_reports,
     execute_fault_cell,
     fault_campaign_jobs,
 )
@@ -108,8 +106,8 @@ class TestEnumeration:
 class TestDeterminism:
     def test_serial_and_pool_reports_are_byte_identical(self):
         jobs = small_jobs(seeds=(0, 1))
-        serial = assemble_coverage_reports(jobs, fresh_runner(1).run_jobs(jobs))
-        pooled = assemble_coverage_reports(jobs, fresh_runner(4).run_jobs(jobs))
+        serial = assemble_campaign_reports(jobs, fresh_runner(1).run_jobs(jobs))[0]
+        pooled = assemble_campaign_reports(jobs, fresh_runner(4).run_jobs(jobs))[0]
         assert serialized_reports(serial) == serialized_reports(pooled)
 
     def test_outcomes_independent_of_cell_execution_order(self):
@@ -123,10 +121,12 @@ class TestDeterminism:
         fine = small_jobs(trials_per_cell=2)
         coarse = small_jobs(trials_per_cell=10)
         assert len(fine) > len(coarse)
-        fine_reports = assemble_coverage_reports(fine, fresh_runner(1).run_jobs(fine))
-        coarse_reports = assemble_coverage_reports(
+        fine_reports = assemble_campaign_reports(
+            fine, fresh_runner(1).run_jobs(fine)
+        )[0]
+        coarse_reports = assemble_campaign_reports(
             coarse, fresh_runner(1).run_jobs(coarse)
-        )
+        )[0]
         assert serialized_reports(fine_reports) == serialized_reports(coarse_reports)
 
     def test_trial_rng_depends_only_on_trial_identity(self):
@@ -139,11 +139,11 @@ class TestDeterminism:
     def test_warm_cache_executes_zero_cells(self, tmp_path):
         jobs = small_jobs()
         cold = ExperimentRunner(jobs=1, cache_dir=tmp_path)
-        cold_reports = assemble_coverage_reports(jobs, cold.run_jobs(jobs))
+        cold_reports = assemble_campaign_reports(jobs, cold.run_jobs(jobs))[0]
         assert cold.stats.executed == len(jobs)
 
         warm = ExperimentRunner(jobs=2, cache_dir=tmp_path)
-        warm_reports = assemble_coverage_reports(jobs, warm.run_jobs(jobs))
+        warm_reports = assemble_campaign_reports(jobs, warm.run_jobs(jobs))[0]
         assert warm.stats.executed == 0
         assert warm.stats.cached == len(jobs)
         assert serialized_reports(cold_reports) == serialized_reports(warm_reports)
@@ -240,7 +240,7 @@ class TestFaultSpace:
         campaign = FaultInjectionCampaign(config=paper_system_config(), seed=0)
         inline = {r.configuration: r for r in campaign.run(trials_per_site=10)}
         jobs = small_jobs()
-        engine = assemble_coverage_reports(jobs, fresh_runner().run_jobs(jobs))
+        engine = assemble_campaign_reports(jobs, fresh_runner().run_jobs(jobs))[0]
         for name, report in engine.items():
             assert report.to_dict() == inline[name].to_dict()
 
@@ -256,14 +256,13 @@ class TestAssembly:
         padded = dict(results)
         for job in extra:
             padded[job] = {"user_ipc": 0.0, "throughput": 0.0}
-        reports = assemble_coverage_reports([*jobs, *extra], padded)
+        reports = assemble_campaign_reports([*jobs, *extra], padded)[0]
         assert set(reports) == {c.name for c in DEFAULT_CONFIGURATIONS}
 
     def test_seed_assembly_partitions_the_merged_report(self):
         jobs = small_jobs(seeds=(0, 1))
         results = fresh_runner().run_jobs(jobs)
-        merged = assemble_coverage_reports(jobs, results)
-        per_seed = assemble_seed_coverage_reports(jobs, results)
+        merged, per_seed = assemble_campaign_reports(jobs, results)
         for name, report in merged.items():
             assert report.total == sum(
                 per_seed[(name, seed)].total for seed in (0, 1)

@@ -44,10 +44,7 @@ from repro.sim.runner import (
     ExperimentRunner,
     RunnerBackend,
     SerialBackend,
-    backend_by_name,
     default_runner,
-    register_runner_backend,
-    registered_backends,
     set_default_runner,
     using_runner,
 )
@@ -409,37 +406,25 @@ class TestRunner:
         assert ExperimentRunner(jobs=2, use_cache=False).backend.name == "process"
 
     def test_backend_chosen_by_name(self):
-        runner = ExperimentRunner(jobs=2, use_cache=False, backend="thread")
-        assert runner.backend.name == "thread"
+        runner = ExperimentRunner(jobs=1, use_cache=False, backend="process")
+        assert runner.backend.name == "process"
         # An instance is accepted as-is, too.
         serial = SerialBackend()
         assert ExperimentRunner(use_cache=False, backend=serial).backend is serial
 
     def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ExperimentError, match="registered backends"):
-            ExperimentRunner(jobs=2, use_cache=False, backend="quantum")
-
-    def test_backend_registry_contents_and_duplicates(self):
-        assert {"serial", "process", "thread"} <= set(registered_backends())
-        assert backend_by_name("thread").name == "thread"
-        with pytest.raises(ExperimentError):
-            register_runner_backend("serial", SerialBackend)
-
-    def test_thread_backend_matches_serial(self):
-        def fake(job):
-            return {"value": float(job.seed)}
-
-        batch = [quick_job(seed=seed) for seed in range(6)]
-        serial = ExperimentRunner(jobs=1, use_cache=False, executor=fake)
-        threaded = ExperimentRunner(
-            jobs=3, use_cache=False, executor=fake, backend="thread"
-        )
-        assert serial.run_jobs(batch) == threaded.run_jobs(batch)
-        assert threaded.stats.executed == len(batch)
+        # A deleted backend's name is rejected like any unknown one.
+        for name in ("quantum", "thread"):
+            with pytest.raises(
+                ExperimentError,
+                match=rf"unknown runner backend '{name}' "
+                r"\(backends: serial, process, distributed\)",
+            ):
+                ExperimentRunner(jobs=2, use_cache=False, backend=name)
 
     def test_custom_backend_plugs_in(self):
-        # The seam for a distributed runner: anything mapping pending cells
-        # to (job, metrics) pairs works, registered or passed directly.
+        # The way in for any other substrate: anything mapping pending
+        # cells to (job, metrics) pairs works, passed as an instance.
         class RecordingBackend(RunnerBackend):
             name = "recording"
 
@@ -540,23 +525,15 @@ class TestRunAllParity:
         settings = QUICK
         serial = ExperimentRunner(jobs=1, cache_dir=tmp_path / "serial")
         parallel = ExperimentRunner(jobs=4, cache_dir=tmp_path / "parallel")
-        threaded = ExperimentRunner(
-            jobs=4, cache_dir=tmp_path / "threaded", backend="thread"
-        )
 
         one = run_all_experiments(settings, runner=serial)
         four = run_all_experiments(settings, runner=parallel)
-        via_threads = run_all_experiments(settings, runner=threaded)
         assert serial.stats.executed == parallel.stats.executed > 0
-        assert serial.stats.executed == threaded.stats.executed
-        # Every spec in the batch: all three backends, byte for byte.
+        # Every spec in the batch: both local backends, byte for byte.
         assert json.dumps(one.job_metrics, sort_keys=True) == json.dumps(
             four.job_metrics, sort_keys=True
         )
-        assert json.dumps(one.job_metrics, sort_keys=True) == json.dumps(
-            via_threads.job_metrics, sort_keys=True
-        )
-        assert one.render() == four.render() == via_threads.render()
+        assert one.render() == four.render()
 
         # Re-running against the serial runner's cache simulates nothing --
         # including the fault-campaign cells, which ride the same batch.

@@ -7,8 +7,8 @@ Four contracts:
   the CLI;
 * **request resolution** -- workload limits, single-seed measurements and
   options resolve the same way for every caller;
-* **backend determinism** -- ``serial``, ``process`` and ``thread``
-  backends produce byte-identical results for one spec of each family
+* **backend determinism** -- the ``serial`` and ``process`` backends
+  produce byte-identical results for one spec of each family
   (simulation, measurement, faults);
 * **uniform rendering** -- a spec's frame renders its tables and JSON
   document from the spec's ``MetricSchema``.
@@ -117,7 +117,7 @@ class TestRequestResolution:
 
 @pytest.mark.slow
 class TestBackendDeterminism:
-    """serial == process == thread, byte for byte, one spec per family."""
+    """serial == process, byte for byte, one spec per family."""
 
     CASES = {
         "figure5": dict(),                      # simulation family
@@ -134,12 +134,12 @@ class TestBackendDeterminism:
         spec = EXPERIMENTS[name]
         settings = QUICK.with_seeds((0, 1)) if spec.multi_seed else QUICK
         documents = {}
-        for backend in ("serial", "process", "thread"):
+        for backend in ("serial", "process"):
             result = spec.run(
                 settings, runner=fresh(jobs=2, backend=backend), **self.CASES[name]
             )
             documents[backend] = json.dumps(spec.to_json(result), sort_keys=True)
-        assert documents["serial"] == documents["process"] == documents["thread"]
+        assert documents["serial"] == documents["process"]
 
 
 class TestUniformRendering:

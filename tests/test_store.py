@@ -13,7 +13,7 @@ Four legs:
   cache the next run can use: the torn tail reads as a miss, `stats`
   never raises, and only the torn cell re-executes;
 * **parity** -- the same sweep produces byte-identical result frames
-  across the serial, thread, process and distributed backends, cold and
+  across the serial, process and distributed backends, cold and
   warm.
 """
 
@@ -290,7 +290,7 @@ def _run_once(backend: str, cache) -> str:
 class TestLayoutBackendParity:
     def test_frames_byte_identical_across_layouts_and_backends(self, tmp_path):
         documents = {}
-        for backend in ("serial", "thread", "process", "distributed"):
+        for backend in ("serial", "process", "distributed"):
             directory = tmp_path / backend
             documents[backend] = _run_once(backend, ResultCache(directory))
             # A warm pass from a fresh instance serves every cell from disk
